@@ -60,6 +60,7 @@ Known, documented deviations (none observable by the equivalence suite):
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import fields as dataclass_fields
 
@@ -262,10 +263,10 @@ class BatchSafeDrones:
 
     One battery Markov distribution row per UAV, integrated with a single
     stacked ``expm`` call; Arrhenius/SoC/processor thermal factors stay
-    per-row ``math.exp`` (bit-exactness). Propulsion PoF is a pure
-    function of ``(rotor_count, motors_failed)`` for a fixed horizon and
-    is memoized — ``expm`` is deterministic, so the cached value is the
-    bits the scalar monitor recomputes every cycle.
+    per-row ``math.exp`` (bit-exactness). Each row owns a
+    :class:`~repro.safedrones.propulsion.PropulsionModel`, as each scalar
+    monitor does; its PoF is read from the chain's start-state memo at
+    construction and again only when the row's motor count changes.
     """
 
     def __init__(
@@ -297,11 +298,15 @@ class BatchSafeDrones:
         self._last_time: float | None = None
         self._last_soc: np.ndarray | None = None
         self.battery_fault_detected = np.zeros(n, dtype=bool)
-        self._motors = [0] * n
         self._hazard = [0.0] * n
-        self._rotor_counts = [int(r) for r in rotor_counts]
-        self._prop_models: dict[int, PropulsionModel] = {}
-        self._prop_cache: dict[tuple[int, int], float] = {}
+        counts = [int(r) for r in rotor_counts]
+        # Rows of one rotor count share an immutable chain, so its
+        # start-state PoF memo is solved once for all of them.
+        prototypes = {r: PropulsionModel(rotor_count=r) for r in set(counts)}
+        self._propulsion = [copy.copy(prototypes[r]) for r in counts]
+        self._prop_pof = [
+            model.failure_probability(mission_horizon_s) for model in self._propulsion
+        ]
         self._updated = False
         self._stamp = 0.0
         self.failure_probability = np.zeros(n)
@@ -311,19 +316,6 @@ class BatchSafeDrones:
         self.rel_high = np.zeros(n, dtype=bool)
         self.rel_medium = np.zeros(n, dtype=bool)
         self.abort_recommended = np.zeros(n, dtype=bool)
-
-    def _propulsion_pof(self, rotor_count: int, motors_failed: int) -> float:
-        key = (rotor_count, motors_failed)
-        pof = self._prop_cache.get(key)
-        if pof is None:
-            model = self._prop_models.get(rotor_count)
-            if model is None:
-                model = PropulsionModel(rotor_count=rotor_count)
-                self._prop_models[rotor_count] = model
-            model.motors_failed = motors_failed
-            pof = model.failure_probability(self.mission_horizon_s)
-            self._prop_cache[key] = pof
-        return pof
 
     def update(self, now: float, soc, temp_c, motors_failed=None) -> np.ndarray:
         """Feed one fleet-wide telemetry sample; returns total PoF per row.
@@ -340,11 +332,12 @@ class BatchSafeDrones:
         temp_l = temp_c.tolist()
 
         if motors_failed is not None:
-            motors = self._motors
-            for k in range(n):
+            prop = self._prop_pof
+            for k, model in enumerate(self._propulsion):
                 m = motors_failed[k]
-                if motors[k] < m:
-                    motors[k] = m
+                if model.motors_failed < m:
+                    model.motors_failed = m
+                    prop[k] = model.failure_probability(self.mission_horizon_s)
 
         if self._last_soc is not None and n:
             last_l = self._last_soc.tolist()
@@ -422,12 +415,7 @@ class BatchSafeDrones:
         for k in range(n):
             proc[k] = 1.0 - mexp(-hazard[k])
         proc_pof = np.array(proc, dtype=float)
-        rotors = self._rotor_counts
-        motors = self._motors
-        prop = [0.0] * n
-        for k in range(n):
-            prop[k] = self._propulsion_pof(rotors[k], motors[k])
-        prop_pof = np.array(prop, dtype=float)
+        prop_pof = np.array(self._prop_pof, dtype=float)
 
         # Fault-tree CBE range checks, in scalar evaluation order; the
         # positive-form mask makes NaN raise exactly like the scalar path.

@@ -103,8 +103,7 @@ class BatteryReliabilityModel:
         if dt == 0.0:
             return self.failure_probability
         factor = self.stress_factor(soc, temp_c)
-        stressed = self.chain.scaled(factor)
-        self.distribution = stressed.transient(self.distribution, dt)
+        self.distribution = self.chain.transient(self.distribution, dt, factor)
         return self.failure_probability
 
     def register_cell_fault(self) -> None:
@@ -133,6 +132,5 @@ class BatteryReliabilityModel:
     ) -> float:
         """PoF ``horizon_s`` seconds ahead if the condition persists."""
         factor = self.stress_factor(soc, temp_c)
-        stressed = self.chain.scaled(factor)
-        future = stressed.transient(self.distribution, horizon_s)
+        future = self.chain.transient(self.distribution, horizon_s, factor)
         return float(future[self.chain.index("failed")])

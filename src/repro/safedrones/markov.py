@@ -8,71 +8,100 @@ failure probability, and mean time to failure via the fundamental matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
+
+#: ``np.isclose(total, 1.0, atol=1e-9)`` as one scalar bound (atol + rtol).
+_P0_SUM_TOL = 1e-9 + 1e-5
 
 
 class MarkovModelError(ValueError):
     """Raised when a chain definition is structurally invalid."""
 
 
-@dataclass
+def _check_factor(factor: float) -> None:
+    if not 0.0 <= factor < math.inf:
+        raise MarkovModelError("rate factor must be finite and non-negative")
+
+
+@dataclass(frozen=True)
 class ContinuousMarkovChain:
     """A CTMC over named states with generator matrix ``q``.
 
     ``q[i, j]`` (i != j) is the transition rate from state i to state j in
     events per second; diagonal entries are set so each row sums to zero.
     ``absorbing`` names the failure states.
+
+    The generator is validated once, here; afterwards ``q`` is a read-only
+    private copy and the chain is frozen, so anything derived from it
+    (the start-state failure memo) stays valid for the chain's lifetime.
     """
 
     states: list[str]
     q: np.ndarray
     absorbing: frozenset[str] = field(default_factory=frozenset)
+    _off: np.ndarray = field(init=False, repr=False, compare=False)
+    _pof_memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.q = np.asarray(self.q, dtype=float)
+        q = np.array(self.q, dtype=float)
         n = len(self.states)
-        if self.q.shape != (n, n):
+        if q.shape != (n, n):
             raise MarkovModelError(
-                f"generator is {self.q.shape}, expected ({n}, {n})"
+                f"generator is {q.shape}, expected ({n}, {n})"
             )
         if len(set(self.states)) != n:
             raise MarkovModelError("state names must be unique")
-        off_diag = self.q - np.diag(np.diag(self.q))
-        if (off_diag < -1e-12).any():
+        if (q - np.diag(np.diag(q)) < -1e-12).any():
             raise MarkovModelError("off-diagonal rates must be non-negative")
         # Normalise the diagonal so rows sum to zero exactly.
-        np.fill_diagonal(self.q, 0.0)
-        np.fill_diagonal(self.q, -self.q.sum(axis=1))
+        off = q.copy()
+        np.fill_diagonal(off, 0.0)
+        np.fill_diagonal(q, -off.sum(axis=1))
         unknown = self.absorbing - set(self.states)
         if unknown:
             raise MarkovModelError(f"unknown absorbing states: {sorted(unknown)}")
         for name in self.absorbing:
             i = self.index(name)
-            if np.abs(self.q[i]).max() > 1e-12:
+            if np.abs(q[i]).max() > 1e-12:
                 raise MarkovModelError(f"absorbing state {name!r} has outgoing rate")
+        q.flags.writeable = False
+        off.flags.writeable = False
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "_off", off)
+        object.__setattr__(self, "_pof_memo", {})
 
     def index(self, state: str) -> int:
         """Index of a state name."""
         return self.states.index(state)
 
-    def transient(self, p0: np.ndarray, t: float) -> np.ndarray:
-        """State distribution after ``t`` seconds from distribution ``p0``."""
+    def transient(self, p0: np.ndarray, t: float, factor: float = 1.0) -> np.ndarray:
+        """State distribution after ``t`` seconds from ``p0``, every rate times ``factor``.
+
+        Bit-identical to ``scaled(factor).transient(p0, t)``: the scaled
+        generator's diagonal is rebuilt exactly as ``__post_init__`` does,
+        without constructing and re-validating a chain.
+        """
         p0 = np.asarray(p0, dtype=float)
         if p0.shape != (len(self.states),):
             raise MarkovModelError("p0 has wrong length")
-        if not np.isclose(p0.sum(), 1.0, atol=1e-9):
+        # The positive form is False for NaN, so NaN mass is refused.
+        if not abs(p0.sum() - 1.0) <= _P0_SUM_TOL:
             raise MarkovModelError("p0 must sum to 1")
-        if t < 0.0:
-            raise MarkovModelError("t must be non-negative")
-        pt = p0 @ expm(self.q * t)
+        if not 0.0 <= t < math.inf:
+            raise MarkovModelError("t must be finite and non-negative")
+        _check_factor(factor)
+        q = self._off * factor
+        np.fill_diagonal(q, -q.sum(axis=1))
+        pt = p0 @ expm(q * t)
         # expm loses precision on nearly-defective generators (two stage
         # rates almost equal -> near-Jordan structure). The result must
         # still be a distribution: clip tiny negatives and renormalise,
         # refusing only genuinely broken results.
-        pt = np.clip(pt, 0.0, None)
+        pt = np.maximum(pt, 0.0)
         total = pt.sum()
         if not 0.97 <= total <= 1.03:
             raise MarkovModelError(
@@ -90,6 +119,22 @@ class ContinuousMarkovChain:
         """Total probability mass in absorbing states after ``t`` seconds."""
         pt = self.transient(p0, t)
         return float(sum(pt[self.index(s)] for s in self.absorbing))
+
+    def failure_probability_from(self, state: str, t: float) -> float:
+        """Failure probability after ``t`` seconds starting surely in ``state``.
+
+        Memoized per ``(state, t)`` on the chain, so the memo holds at most
+        one value per state and horizon used. The chain is immutable and the
+        solve deterministic: a hit returns the bits a fresh solve would.
+        """
+        key = (state, t)
+        pof = self._pof_memo.get(key)
+        if pof is None:
+            p0 = np.zeros(len(self.states))
+            p0[self.index(state)] = 1.0
+            pof = self.failure_probability(p0, t)
+            self._pof_memo[key] = pof
+        return pof
 
     def reliability(self, p0: np.ndarray, t: float) -> float:
         """1 - failure probability at time ``t``."""
@@ -113,10 +158,10 @@ class ContinuousMarkovChain:
         """A copy of this chain with all rates multiplied by ``factor``.
 
         Used for stress acceleration: e.g. thermal stress multiplies battery
-        degradation rates by an Arrhenius factor.
+        degradation rates by an Arrhenius factor. To integrate under a
+        factor without building a chain, pass it to :meth:`transient`.
         """
-        if factor < 0.0:
-            raise MarkovModelError("rate factor must be non-negative")
+        _check_factor(factor)
         return ContinuousMarkovChain(
             states=list(self.states), q=self.q * factor, absorbing=self.absorbing
         )

@@ -151,13 +151,16 @@ class PropulsionModel:
         return f"ok_{self.rotor_count - self.motors_failed}"
 
     def failure_probability(self, horizon_s: float) -> float:
-        """Probability of propulsion loss within ``horizon_s`` seconds."""
+        """Probability of propulsion loss within ``horizon_s`` seconds.
+
+        Read from the chain's start-state memo: a motor failure moves the
+        start state and :meth:`from_arrangement` swaps the chain, so a
+        cached value is never stale.
+        """
         state = self._current_state()
         if state == "failed":
             return 1.0
-        p0 = np.zeros(len(self.chain.states))
-        p0[self.chain.index(state)] = 1.0
-        return self.chain.failure_probability(p0, horizon_s)
+        return self.chain.failure_probability_from(state, horizon_s)
 
     def mttf_hours(self) -> float:
         """Mean time to propulsion failure from the current state, hours."""

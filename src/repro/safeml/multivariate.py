@@ -34,6 +34,24 @@ def _as_2d(x: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _binary_exponent(a: np.ndarray, b: np.ndarray) -> int:
+    """``e`` with the pooled samples' largest magnitude in ``[2**(e-1), 2**e)``.
+
+    Dividing by ``2**e`` is exact for every normal value, so the
+    distances below computed on ``ldexp(x, -e)`` are the unscaled
+    distances times ``2**-e`` bit for bit, but squared distances can no
+    longer overflow (samples near 1e160) or underflow (near 1e-160).
+    """
+    return int(np.frexp(max(np.abs(a).max(), np.abs(b).max()))[1])
+
+
+def _finite(name: str, value: float) -> float:
+    """``value``, refusing NaN and inf instead of clamping them to 0.0."""
+    if not np.isfinite(value):
+        raise ValueError(f"{name} is not finite ({value}) for these samples")
+    return value
+
+
 def energy_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Energy distance between multivariate samples.
 
@@ -44,18 +62,26 @@ def energy_distance(a: np.ndarray, b: np.ndarray) -> float:
     b = _as_2d(b)
     if a.shape[1] != b.shape[1]:
         raise ValueError("samples must share dimensionality")
+    # E is homogeneous of degree one: evaluate at unit scale, scale back.
+    shift = _binary_exponent(a, b)
+    a = np.ldexp(a, -shift)
+    b = np.ldexp(b, -shift)
     cross = _pairwise_distances(a, b).mean()
     within_a = _pairwise_distances(a, a).mean()
     within_b = _pairwise_distances(b, b).mean()
-    return max(0.0, float(2.0 * cross - within_a - within_b))
+    energy = float(np.ldexp(2.0 * cross - within_a - within_b, shift))
+    return max(0.0, _finite("energy distance", energy))
 
 
 def median_heuristic_bandwidth(a: np.ndarray, b: np.ndarray) -> float:
     """RBF bandwidth: median pairwise distance over the pooled sample."""
-    pooled = np.vstack([_as_2d(a), _as_2d(b)])
+    a = _as_2d(a)
+    b = _as_2d(b)
+    shift = _binary_exponent(a, b)
+    pooled = np.ldexp(np.vstack([a, b]), -shift)
     distances = _pairwise_distances(pooled, pooled)
     upper = distances[np.triu_indices_from(distances, k=1)]
-    median = float(np.median(upper))
+    median = float(np.ldexp(np.median(upper), shift))
     return median if median > 0.0 else 1.0
 
 
@@ -69,15 +95,22 @@ def mmd_rbf(a: np.ndarray, b: np.ndarray, bandwidth: float | None = None) -> flo
     if a.shape[1] != b.shape[1]:
         raise ValueError("samples must share dimensionality")
     sigma = bandwidth if bandwidth is not None else median_heuristic_bandwidth(a, b)
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"bandwidth must be finite and positive, got {sigma}")
+    # The kernel depends on distance / bandwidth only: rescale both by the
+    # same power of two so the squared distances stay representable.
+    shift = _binary_exponent(a, b)
+    a = np.ldexp(a, -shift)
+    b = np.ldexp(b, -shift)
+    sigma = float(np.ldexp(sigma, -shift))
     gamma = 1.0 / (2.0 * sigma * sigma)
 
     def kernel_mean(x: np.ndarray, y: np.ndarray) -> float:
         d = _pairwise_distances(x, y)
         return float(np.exp(-gamma * d * d).mean())
 
-    return max(
-        0.0, kernel_mean(a, a) + kernel_mean(b, b) - 2.0 * kernel_mean(a, b)
-    )
+    mmd = kernel_mean(a, a) + kernel_mean(b, b) - 2.0 * kernel_mean(a, b)
+    return max(0.0, _finite("MMD", mmd))
 
 
 def multivariate_shift_pvalue(

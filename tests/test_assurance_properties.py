@@ -174,6 +174,34 @@ def test_single_row_bank_matches_scalar_monitor():
         assert measured.abort_recommended == reference.abort_recommended
 
 
+def test_rows_sharing_a_chain_keep_their_own_motor_state():
+    """Rows of one rotor count share a chain, not a motor count."""
+    rotors = [6, 6, 8, 8, 4]
+    # step -> per-row reported motor failures
+    schedule = {10: [1, 0, 0, 0, 0], 15: [1, 0, 1, 0, 0], 30: [1, 0, 3, 0, 0]}
+    batched = BatchSafeDrones(len(rotors), rotors)
+    scalars = [
+        SafeDronesMonitor(uav_id=f"u{k}", rotor_count=r) for k, r in enumerate(rotors)
+    ]
+    assert batched._propulsion[0].chain is batched._propulsion[1].chain
+    rng = np.random.default_rng(5)
+    motors = [0] * len(rotors)
+    now = 0.0
+    for step in range(40):
+        now += 2.0
+        motors = schedule.get(step, motors)
+        soc = rng.uniform(0.5, 0.9, len(rotors))
+        temp = rng.uniform(20.0, 40.0, len(rotors))
+        batched.update(now, soc, temp, motors)
+        for k, scalar in enumerate(scalars):
+            reference = scalar.update(now, float(soc[k]), float(temp[k]), motors[k])
+            measured = batched.assessment(k)
+            assert measured.propulsion_pof == reference.propulsion_pof
+            assert measured.failure_probability == reference.failure_probability
+    assert batched.propulsion_pof[0] > batched.propulsion_pof[1]
+    assert batched.propulsion_pof[2] == 1.0
+
+
 def test_reliability_rank_covers_vocabulary():
     assert [RELIABILITY_RANK[level] for level in ReliabilityLevel] == [0, 1, 2]
 

@@ -211,6 +211,29 @@ class TestMultivariateDistances:
     def test_bandwidth_positive(self):
         assert median_heuristic_bandwidth(SAME_A, SAME_B) > 0.0
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_extreme_scales_score_like_unit_scale(self, scale):
+        # Squared distances under- or overflow at these scales; the kernel
+        # used to turn NaN and max(0.0, nan) reported 0.0 for a real shift.
+        unit = mmd_rbf(SAME_A, SHIFTED)
+        assert unit > 0.1
+        assert mmd_rbf(SAME_A * scale, SHIFTED * scale) == pytest.approx(unit, rel=1e-9)
+        assert energy_distance(SAME_A * scale, SHIFTED * scale) / scale == pytest.approx(
+            energy_distance(SAME_A, SHIFTED), rel=1e-9
+        )
+
+    def test_power_of_two_scale_is_exact(self):
+        scale = 2.0**-500
+        assert mmd_rbf(SAME_A * scale, SHIFTED * scale) == mmd_rbf(SAME_A, SHIFTED)
+        assert median_heuristic_bandwidth(SAME_A * scale, SHIFTED * scale) == (
+            median_heuristic_bandwidth(SAME_A, SHIFTED) * scale
+        )
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, np.nan, np.inf])
+    def test_mmd_rejects_degenerate_bandwidth(self, bandwidth):
+        with pytest.raises(ValueError):
+            mmd_rbf(SAME_A, SHIFTED, bandwidth=bandwidth)
+
     def test_permutation_pvalue_behaviour(self):
         _, p_null = multivariate_shift_pvalue(
             SAME_A, SAME_B, n_permutations=60, rng=np.random.default_rng(1)

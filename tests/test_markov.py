@@ -1,14 +1,20 @@
 """Unit tests for the CTMC reliability engine."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro.safedrones.arrangement import ArrangementAnalysis
+from repro.safedrones.battery import battery_chain
 from repro.safedrones.markov import (
     ContinuousMarkovChain,
     MarkovModelError,
     parallel_reliability,
     series_reliability,
 )
+from repro.safedrones.propulsion import motor_chain, motor_chain_from_survival
 
 
 def two_state(rate=0.1):
@@ -128,6 +134,89 @@ class TestScaled:
     def test_rejects_negative_factor(self):
         with pytest.raises(MarkovModelError):
             two_state().scaled(-1.0)
+
+
+#: Every chain type the SafeDrones models build.
+CHAINS = {
+    "battery": battery_chain(6.4e-5),
+    "quad": motor_chain(4),
+    "hexa": motor_chain(6),
+    "octa": motor_chain(8, reconfig_success=0.7),
+    "hexa_arrangement": motor_chain_from_survival(
+        6, ArrangementAnalysis(rotor_count=6).survival_by_count
+    ),
+}
+
+
+@st.composite
+def chain_and_p0(draw):
+    chain = CHAINS[draw(st.sampled_from(sorted(CHAINS)))]
+    weights = draw(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1.0),
+            min_size=len(chain.states),
+            max_size=len(chain.states),
+        ).filter(lambda w: sum(w) > 1e-3)
+    )
+    p0 = np.array(weights) / sum(weights)
+    return chain, p0
+
+
+class TestFactorTransient:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        chain_p0=chain_and_p0(),
+        factor=st.floats(min_value=0.0, max_value=1e3),
+        t=st.floats(min_value=0.0, max_value=1e3),
+    )
+    @example(chain_p0=(CHAINS["battery"], np.array([1.0, 0.0, 0.0, 0.0])), factor=1.0, t=5.0)
+    @example(chain_p0=(CHAINS["hexa"], np.array([0.5, 0.5, 0.0])), factor=0.0, t=1e3)
+    def test_bit_identical_to_scaled_chain(self, chain_p0, factor, t):
+        chain, p0 = chain_p0
+        fast = chain.transient(p0, t, factor)
+        slow = chain.scaled(factor).transient(p0, t)
+        assert fast.shape == slow.shape
+        assert all(x == y for x, y in zip(fast.tolist(), slow.tolist()))
+
+
+class TestValidateOnce:
+    def test_q_is_read_only(self):
+        chain = two_state()
+        with pytest.raises(ValueError):
+            chain.q[0, 1] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            chain.q = np.zeros((2, 2))
+
+    def test_caller_array_is_not_captured(self):
+        q = np.array([[0.0, 0.1], [0.0, 0.0]])
+        chain = ContinuousMarkovChain(
+            states=["up", "down"], q=q, absorbing=frozenset({"down"})
+        )
+        assert q[0, 0] == 0.0  # the diagonal is normalised in the chain's copy
+        q[0, 1] = 0.2
+        assert chain.q[0, 1] == 0.1
+
+
+class TestNonFiniteInputs:
+    def test_nan_in_p0_raises(self):
+        with pytest.raises(MarkovModelError):
+            two_state().transient(np.array([np.nan, 1.0]), 1.0)
+
+    @pytest.mark.parametrize("factor", [np.nan, np.inf])
+    def test_non_finite_factor_raises(self, factor):
+        chain = two_state()
+        with pytest.raises(MarkovModelError):
+            chain.transient(np.array([1.0, 0.0]), 1.0, factor)
+        with pytest.raises(MarkovModelError):
+            chain.scaled(factor)
+
+    def test_nan_time_raises(self):
+        with pytest.raises(MarkovModelError):
+            two_state().transient(np.array([1.0, 0.0]), np.nan)
+
+    def test_infinite_time_raises(self):
+        with pytest.raises(MarkovModelError):
+            two_state().transient(np.array([1.0, 0.0]), np.inf)
 
 
 class TestCompositions:

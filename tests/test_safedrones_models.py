@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.safedrones.arrangement import ArrangementAnalysis
 from repro.safedrones.battery import BatteryReliabilityModel
 from repro.safedrones.monitor import (
     ReliabilityLevel,
@@ -13,6 +14,7 @@ from repro.safedrones.propulsion import (
     PropulsionModel,
     TOLERABLE_FAILURES,
     motor_chain,
+    motor_chain_from_survival,
 )
 
 
@@ -78,6 +80,68 @@ class TestPropulsion:
 
     def test_tolerable_failures_table(self):
         assert TOLERABLE_FAILURES == {4: 0, 6: 1, 8: 2}
+
+
+def uncached_pof(chain, state, horizon_s):
+    """Start-state PoF from a fresh solve, bypassing the chain's memo."""
+    p0 = np.zeros(len(chain.states))
+    p0[chain.index(state)] = 1.0
+    return chain.failure_probability(p0, horizon_s)
+
+
+class TestPropulsionMemo:
+    """Memoized propulsion PoF equals a fresh, uncached solve."""
+
+    def test_motor_failure_moves_the_start_state(self):
+        model = PropulsionModel(rotor_count=8)
+        fresh = motor_chain(8)
+        for failed in range(3):
+            model.failure_probability(600.0)  # fill the memo for this state
+            assert model.failure_probability(600.0) == uncached_pof(
+                fresh, f"ok_{8 - failed}", 600.0
+            )
+            model.record_motor_failure()
+        assert model.failure_probability(600.0) == 1.0
+
+    def test_arrangement_chain_swap(self):
+        hexa = ArrangementAnalysis(rotor_count=6)
+        default = PropulsionModel(
+            rotor_count=6, reconfig_success=hexa.effective_reconfig_success(0)
+        )
+        default_pof = default.failure_probability(600.0)
+        swapped = PropulsionModel.from_arrangement(hexa)
+        swapped.record_motor_failure()
+        default.record_motor_failure()
+        fresh = motor_chain_from_survival(6, hexa.survival_by_count)
+        assert swapped.failure_probability(600.0) == uncached_pof(fresh, "ok_5", 600.0)
+        assert default.failure_probability(600.0) != swapped.failure_probability(600.0)
+        fresh_default = motor_chain(6, reconfig_success=default.reconfig_success)
+        assert default_pof == uncached_pof(fresh_default, "ok_6", 600.0)
+
+    def test_each_horizon_has_its_own_value(self):
+        model = PropulsionModel(rotor_count=6)
+        fresh = motor_chain(6)
+        for horizon in (600.0, 60.0, 3600.0, 600.0):
+            assert model.failure_probability(horizon) == uncached_pof(
+                fresh, "ok_6", horizon
+            )
+        assert model.failure_probability(60.0) < model.failure_probability(3600.0)
+
+    def test_memo_is_bounded_by_states_and_horizons(self):
+        # An arrangement-calibrated chain is private to its model.
+        model = PropulsionModel.from_arrangement(ArrangementAnalysis(rotor_count=6))
+        for _ in range(50):
+            model.failure_probability(600.0)
+        model.record_motor_failure()
+        for _ in range(50):
+            model.failure_probability(600.0)
+            model.failure_probability(60.0)
+        assert len(model.chain._pof_memo) == 3
+
+    def test_chain_is_read_only(self):
+        model = PropulsionModel(rotor_count=6)
+        with pytest.raises(ValueError):
+            model.chain.q[0, 1] = 0.0
 
 
 class TestBatteryReliability:
