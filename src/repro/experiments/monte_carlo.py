@@ -70,35 +70,51 @@ class MonteCarloResult:
         return sum(1 for s in self.samples if s.completed_one_pass) / len(self.samples)
 
 
-def monte_carlo_sample(config: dict, seed: int, timer: PhaseTimer) -> dict:
-    """One campaign sample: a Fig. 5 run at a perturbed scenario point.
+def scenario_point(config: dict, seed: int) -> tuple[int, float, float]:
+    """A grid point's (run seed, fault onset, post-fault SoC).
 
     ``config`` may pin an explicit ``seed`` (the legacy seed-as-grid-axis
-    study); otherwise the harness-assigned per-sample stream seed is
-    used. The Fig. 5 scenario constants are module-level, so they are
-    patched and restored around the run — safe in pool workers, where
-    each sample owns its process's module state.
+    study); otherwise the harness-assigned per-sample stream seed is used.
     """
-    run_seed = int(config.get("seed", seed))
-    original = (fig5.FAULT_TIME_S, fig5.SOC_AFTER_FAULT)
-    try:
-        fig5.FAULT_TIME_S = float(config["fault_time_s"])
-        fig5.SOC_AFTER_FAULT = float(config["soc_after_fault"])
-        with timer.phase("simulate"):
-            result = fig5.run_fig5_battery_experiment(seed=run_seed)
-    finally:
-        fig5.FAULT_TIME_S, fig5.SOC_AFTER_FAULT = original
+    return (
+        int(config.get("seed", seed)),
+        float(config["fault_time_s"]),
+        float(config["soc_after_fault"]),
+    )
+
+
+def sample_record(
+    point: tuple[int, float, float],
+    nominal: float,
+    with_trace: fig5.ScenarioTrace,
+    without_trace: fig5.ScenarioTrace,
+) -> dict:
+    """One sample's campaign result from its two policy runs."""
+    run_seed, fault_time_s, soc_after_fault = point
     return {
         "seed": run_seed,
-        "fault_time_s": float(config["fault_time_s"]),
-        "soc_after_fault": float(config["soc_after_fault"]),
-        "availability_with": result.availability_with,
-        "availability_without": result.availability_without,
+        "fault_time_s": fault_time_s,
+        "soc_after_fault": soc_after_fault,
+        "availability_with": fig5.availability(with_trace, nominal),
+        "availability_without": fig5.availability(without_trace, nominal),
         "completed_one_pass": (
-            result.with_sesame.abort_time is None
-            and result.with_sesame.mission_complete_time is not None
+            with_trace.abort_time is None
+            and with_trace.mission_complete_time is not None
         ),
     }
+
+
+def monte_carlo_sample(config: dict, seed: int, timer: PhaseTimer) -> dict:
+    """One campaign sample: a Fig. 5 run at a perturbed scenario point."""
+    point = scenario_point(config, seed)
+    run_seed, fault_time_s, soc_after_fault = point
+    with timer.phase("simulate"):
+        result = fig5.run_fig5_battery_experiment(
+            seed=run_seed, fault_time_s=fault_time_s, soc_after_fault=soc_after_fault
+        )
+    return sample_record(
+        point, result.nominal_mission_s, result.with_sesame, result.without_sesame
+    )
 
 
 def monte_carlo_grid(preset: str) -> list[dict]:

@@ -14,6 +14,7 @@ loudly rather than eroding toward the tolerance.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -21,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.common import build_three_uav_world
+from repro.experiments.fig5_battery import run_fig5_battery_experiment
 from repro.sar.mission import SarMission
 from repro.scenario import load_scenario_json
 
@@ -232,3 +234,20 @@ def test_mid_flight_displacement_agrees_under_wind():
                 moved, math.dist(uav.dynamics.position, uav.spec.base_position)
             )
     assert moved > 10.0  # the fleet actually flew somewhere
+
+
+@pytest.mark.parametrize(
+    "seed,fault",
+    [
+        (3, {}),  # the paper point: naive abort at the fault, SESAME one pass
+        (5, {"fault_time_s": 150.0, "soc_after_fault": 0.35}),  # SESAME aborts
+    ],
+    ids=["paper-seed3", "early-fault-seed5"],
+)
+def test_fig5_result_identical_across_engines(seed, fault):
+    """The whole Fig. 5 result — every series and milestone — is exact."""
+    scalar = run_fig5_battery_experiment(seed=seed, engine="scalar", **fault)
+    vectorized = run_fig5_battery_experiment(
+        seed=seed, engine="vectorized", **fault
+    )
+    assert dataclasses.asdict(scalar) == dataclasses.asdict(vectorized)

@@ -105,6 +105,53 @@ class TestBusMetricsAgreement:
         assert got == [bus.traffic.on_topic("/t")[0]]
 
 
+class TestFig5AbortEvents:
+    """Each Fig. 5 abort carries the evidence that triggered it."""
+
+    @staticmethod
+    def _aborts(events) -> list[tuple]:
+        return [
+            (e.sim_time, e.payload["policy"], e.payload["pof"],
+             e.payload["threshold"], e.payload["fault_detected"])
+            for e in events.by_name("policy_abort")
+        ]
+
+    def test_paper_point_has_one_naive_abort_at_the_fault(self):
+        from repro.experiments.fig5_battery import run_fig5_battery_experiment
+
+        with obs.isolated(enabled=True) as session:
+            run_fig5_battery_experiment(seed=3)
+            events = session.events.by_name("policy_abort")
+        assert len(events) == 1
+        (event,) = events
+        assert event.subsystem == "experiments.fig5"
+        assert event.sim_time == 250.0
+        assert event.payload["policy"] == "naive"
+        assert event.payload["uav"] == "uav1"
+        assert event.payload["fault_detected"] is True
+        assert event.payload["threshold"] == 0.9
+
+    def test_sesame_abort_carries_pof_and_matches_batched_path(self):
+        from repro.experiments.fig5_batch import monte_carlo_batch
+        from repro.experiments.fig5_battery import run_fig5_battery_experiment
+        from repro.harness.timing import PhaseTimer
+
+        with obs.isolated(enabled=True) as session:
+            run_fig5_battery_experiment(
+                seed=5, fault_time_s=150.0, soc_after_fault=0.35
+            )
+            inline = self._aborts(session.events)
+        sesame = [a for a in inline if a[1] == "sesame"]
+        assert len(sesame) == 1
+        assert sesame[0][2] >= 0.9
+
+        config = {"fault_time_s": 150.0, "soc_after_fault": 0.35, "seed": 5}
+        with obs.isolated(enabled=True) as session:
+            monte_carlo_batch([config], [5], PhaseTimer())
+            batched = self._aborts(session.events)
+        assert sorted(batched) == sorted(inline)
+
+
 class TestEddiTransitionEvents:
     def test_fig5_battery_collapse_emits_guarantee_transitions(self):
         config = json.loads((SCENARIOS / "fig5_battery_fault.json").read_text())
