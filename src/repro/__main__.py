@@ -262,12 +262,16 @@ def _run_campaign_cli(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    policy = FaultPolicy(
-        timeout_s=args.timeout,
-        max_attempts=args.retries + 1,
-        backoff_s=args.backoff,
-        max_failures=args.max_failures,
-    )
+    try:
+        policy = FaultPolicy(
+            timeout_s=args.timeout,
+            max_attempts=args.retries + 1,
+            backoff_s=args.backoff,
+            max_failures=args.max_failures,
+        )
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     if experiment.name == "fuzz":
         return _run_fuzz_cli(args, policy)
     try:

@@ -12,13 +12,11 @@ fleet-wide array operations:
 * the SafeDrones battery/processor/propulsion models run as stacked
   arrays (:class:`BatchSafeDrones`) — one ``scipy.linalg.expm`` call over
   an ``(n, 4, 4)`` stack instead of ``n`` scalar solves;
-* SafeML ECDF statistical distances are computed as stacked array
-  operations across every (monitor, feature) task
-  (:func:`stacked_safeml_reports`).
-
-Selection mirrors the fleet engine: :func:`build_assurance` keys off the
-same ``engine="scalar"|"vectorized"`` vocabulary ``World`` threads
-through scenarios, experiments, and CLIs.
+* GPS, IMU and temperature measurements are the fleet engine's own
+  batched sensor math (:meth:`~repro.uav.fleet.FleetEngine.gps_fix`,
+  :meth:`~repro.uav.fleet.FleetEngine.imu_measure`);
+* SafeML reports come from each attached monitor's own ``report()``,
+  exactly as the scalar adapter asks for them.
 
 Bit-exactness contract
 ----------------------
@@ -66,7 +64,6 @@ from dataclasses import fields as dataclass_fields
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.stats import norm
 
 from repro.core.adapters import build_fleet_eddis
 from repro.core.conserts import AndNode, ConSert, Demand, OrNode, RuntimeEvidence
@@ -85,9 +82,9 @@ from repro.safedrones.markov import MarkovModelError
 from repro.safedrones.monitor import ReliabilityAssessment, ReliabilityLevel
 from repro.safedrones.processor import ProcessorReliabilityModel
 from repro.safedrones.propulsion import PropulsionModel
-from repro.safeml.monitor import ConfidenceLevel, SafeMlReport
+from repro.safeml.monitor import SafeMlReport
 from repro.security.spoofing import GpsSpoofingDetector
-from repro.uav.world import ENGINES
+from repro.uav.fleet import fix_quality, row_index
 
 
 # --------------------------------------------------------------------------
@@ -473,138 +470,6 @@ class BatchSafeDrones:
 
 
 # --------------------------------------------------------------------------
-# Stacked SafeML: every (monitor, feature) distance as one array pass
-# --------------------------------------------------------------------------
-def _ad_weights(n_grid: int, sqrt: bool) -> np.ndarray:
-    """Anderson–Darling tail weights on an ``n_grid``-point pooled grid."""
-    h = np.arange(1, n_grid + 1) / n_grid
-    weight_ok = (h > 0.0) & (h < 1.0)
-    weights = np.zeros_like(h)
-    if sqrt:
-        weights[weight_ok] = 1.0 / np.sqrt(h[weight_ok] * (1.0 - h[weight_ok]))
-    else:
-        weights[weight_ok] = 1.0 / (h[weight_ok] * (1.0 - h[weight_ok]))
-    return weights
-
-
-def _stacked_ks(grid, fa, fb):
-    return np.max(np.abs(fa - fb), axis=1)
-
-
-def _stacked_kuiper(grid, fa, fb):
-    return np.max(fa - fb, axis=1) + np.max(fb - fa, axis=1)
-
-
-def _stacked_cvm(grid, fa, fb):
-    return np.mean((fa - fb) ** 2, axis=1)
-
-
-def _stacked_ad(grid, fa, fb):
-    weights = _ad_weights(grid.shape[1], sqrt=False)
-    gap = (fa - fb) ** 2
-    return np.mean(gap * weights, axis=1)
-
-
-def _stacked_wasserstein(grid, fa, fb):
-    if grid.shape[1] < 2:
-        return np.zeros(grid.shape[0])
-    dx = np.diff(grid, axis=1)
-    return np.sum(np.abs(fa - fb)[:, :-1] * dx, axis=1)
-
-
-def _stacked_dts(grid, fa, fb):
-    if grid.shape[1] < 2:
-        return np.zeros(grid.shape[0])
-    weights = _ad_weights(grid.shape[1], sqrt=True)
-    dx = np.diff(grid, axis=1)
-    integrand = ((fa - fb) ** 2) * weights
-    return np.sum(integrand[:, :-1] * dx, axis=1)
-
-
-#: Stacked twins of :data:`repro.safeml.distances.ALL_MEASURES` — same
-#: names, row-wise identical arithmetic (axis=1 reductions).
-_STACKED_MEASURES = {
-    "kolmogorov_smirnov": _stacked_ks,
-    "kuiper": _stacked_kuiper,
-    "cramer_von_mises": _stacked_cvm,
-    "anderson_darling": _stacked_ad,
-    "wasserstein": _stacked_wasserstein,
-    "dts": _stacked_dts,
-}
-
-
-def stacked_safeml_reports(monitors, now: float) -> list[SafeMlReport]:
-    """One :meth:`SafeMlMonitor.report` per monitor, computed stacked.
-
-    Groups every (monitor, feature) distance task by
-    ``(measure, window length, reference length)`` so same-shaped tasks
-    share one sort/ECDF/measure pass. Monitors with a measure outside the
-    stacked registry (custom callables) fall back to their own scalar
-    ``_distance`` — same result, just not batched.
-    """
-    windows = []
-    for monitor in monitors:
-        if not monitor._window:
-            raise RuntimeError("no runtime samples observed yet")
-        windows.append(np.vstack(monitor._window))
-
-    groups: dict[tuple, list] = {}
-    results: dict[tuple[int, int], float] = {}
-    for mi, monitor in enumerate(monitors):
-        reference = monitor._reference
-        window = windows[mi]
-        stacked = monitor.measure in _STACKED_MEASURES
-        for j in range(reference.shape[1]):
-            if not stacked:
-                results[(mi, j)] = float(
-                    monitor._distance(window[:, j], reference[:, j])
-                )
-                continue
-            key = (monitor.measure, window.shape[0], reference.shape[0])
-            groups.setdefault(key, []).append(
-                (mi, j, window[:, j], reference[:, j])
-            )
-
-    for (measure, n_window, n_reference), tasks in groups.items():
-        a = np.stack([task[2] for task in tasks])
-        b = np.stack([task[3] for task in tasks])
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            raise ValueError("sample contains non-finite values")
-        grid = np.sort(np.concatenate([a, b], axis=1), axis=1)
-        sorted_a = np.sort(a, axis=1)
-        sorted_b = np.sort(b, axis=1)
-        fa = np.empty_like(grid)
-        fb = np.empty_like(grid)
-        for r in range(len(tasks)):
-            fa[r] = np.searchsorted(sorted_a[r], grid[r], side="right") / n_window
-            fb[r] = np.searchsorted(sorted_b[r], grid[r], side="right") / n_reference
-        values = _STACKED_MEASURES[measure](grid, fa, fb)
-        for r, (mi, j, _, _) in enumerate(tasks):
-            results[(mi, j)] = float(values[r])
-
-    reports = []
-    for mi, monitor in enumerate(monitors):
-        distances: dict[str, float] = {}
-        z_scores = []
-        for j in range(monitor._reference.shape[1]):
-            d = results[(mi, j)]
-            distances[f"feature_{j}"] = d
-            z_scores.append((d - monitor._null_mean[j]) / monitor._null_std[j])
-        z_mean = float(np.mean(z_scores))
-        uncertainty = float(norm.cdf(z_mean / monitor.z_scale))
-        reports.append(
-            SafeMlReport(
-                stamp=now,
-                distances=distances,
-                z_score=z_mean,
-                uncertainty=uncertainty,
-                level=ConfidenceLevel.from_uncertainty(uncertainty),
-            )
-        )
-    return reports
-
-
-# --------------------------------------------------------------------------
 # Assurance planes: one step()/decide() facade per engine
 # --------------------------------------------------------------------------
 class ScalarAssurancePlane:
@@ -769,13 +634,6 @@ class BatchAssurancePlane:
             self._spoofed[k] = any(abs(o) > 1e-9 for o in offset)
             self._noise_cache[k] = gps.noise_std_m
             self._noise[k] = gps.noise_std_m
-        self._imu_std = np.array(
-            [imu.noise_std_mps for imu in self._imus], dtype=float
-        )
-        self._temp_std = np.array(
-            [uav.sensors.temperature.noise_std_c for uav in self._uav_list],
-            dtype=float,
-        )
 
     # ----------------------------------------------------------------- step
     def step(self, now: float) -> dict[str, UavGuarantee]:
@@ -829,8 +687,8 @@ class BatchAssurancePlane:
                     imu_rows.append(k)
 
         # --- SafeDrones -> reliability evidence ---------------------------
-        zt = fleet.ch_temp.take_all()[:n, 0]
-        temp_meas = np.array(temp_true, dtype=float) + self._temp_std * zt
+        zt = fleet.ch_temp.take_all()[:, 0]
+        temp_meas = np.array(temp_true, dtype=float) + fleet.temp_std * zt
         self.safedrones.update(
             now, np.array(soc_l, dtype=float), temp_meas, motors
         )
@@ -839,49 +697,16 @@ class BatchAssurancePlane:
 
         # --- GPS quality + spoof cross-check ------------------------------
         quality = np.zeros(n, dtype=bool)
-        n_valid = len(valid_rows)
         n_imu = len(imu_rows)
-        if n_valid:
-            pos = arrays.position[:n]
-            if n_valid == n:
-                z = fleet.ch_gps.take_all()[:n]
-                u = fleet.ch_quality.take_all()[:n]
-                noisy = (pos + self._spoof) + self._noise[:, None] * z
-                spoofed = self._spoofed
-            else:
-                va = np.array(valid_rows)
-                z = fleet.ch_gps.take(va)
-                u = fleet.ch_quality.take(va)
-                noisy = (pos[va] + self._spoof[va]) + self._noise[va, None] * z
-                spoofed = self._spoofed[va]
-            _, _, _, east, north, up = fleet._roundtrip(noisy)
-            sats = np.where(
-                spoofed,
-                6 + (u[:, 0] * 3.0).astype(np.int64),
-                7 + (u[:, 0] * 6.0).astype(np.int64),
+        if valid_rows:
+            va = row_index(valid_rows, n)
+            _, _, _, east, north, up, u = fleet.gps_fix(
+                va, arrays.position[:n], self._spoof, self._noise
             )
-            hdop = np.where(
-                spoofed, 1.2 + 1.0 * u[:, 1], 0.7 + 0.7 * u[:, 1]
-            )
-            ok = (sats >= 6) & (hdop <= 2.5)
-            if n_valid == n:
-                quality[:] = ok
-            else:
-                quality[va] = ok
-
+            sats, hdop = fix_quality(u, self._spoofed[va])
+            quality[va] = (sats >= 6) & (hdop <= 2.5)
             if n_imu:
-                if n_imu == n:
-                    zi = fleet.ch_imu.take_all()[:n]
-                    imu_vel = (
-                        arrays.velocity[:n] + arrays.drift[:n]
-                    ) + self._imu_std[:, None] * zi
-                else:
-                    ia = np.array(imu_rows)
-                    zi = fleet.ch_imu.take(ia)
-                    imu_vel = (
-                        arrays.velocity[ia] + arrays.drift[ia]
-                    ) + self._imu_std[ia, None] * zi
-                iv_l = imu_vel.tolist()
+                iv_l = fleet.imu_measure(row_index(imu_rows, n)).tolist()
 
             no_attack = evidence["no_attack_detected"]
             detectors = self._detectors
@@ -904,17 +729,10 @@ class BatchAssurancePlane:
         # --- vision health + SafeML confidence ----------------------------
         evidence["camera_healthy"][:] = cam_ok
         evidence["drone_detection_ok"][:] = cam_ok
-        entries = [
-            (k, monitor)
-            for k, monitor in enumerate(self._safeml)
-            if monitor is not None and monitor.window_full
-        ]
-        if entries:
-            reports = stacked_safeml_reports(
-                [monitor for _, monitor in entries], now
-            )
-            confidence = evidence["safeml_confidence_ok"]
-            for (k, _), report in zip(entries, reports):
+        confidence = evidence["safeml_confidence_ok"]
+        for k, monitor in enumerate(self._safeml):
+            if monitor is not None and monitor.window_full:
+                report = monitor.report(now)
                 self._safeml_reports[k] = report
                 confidence[k] = report.level.value != "low"
 
@@ -1066,18 +884,14 @@ class BatchAssurancePlane:
         self._responses[self._row[uav_id]][guarantee] = callback
 
 
-def build_assurance(world, cl_range_m: float = 120.0, engine: str | None = None):
-    """Build the assurance plane for ``world`` under the chosen engine.
+def build_assurance(world, cl_range_m: float = 120.0):
+    """Build the assurance plane that matches ``world.engine``.
 
-    ``engine=None`` follows ``world.engine`` — the same switch scenarios
-    and CLIs already thread. The scalar plane runs on either world
-    engine; the batched plane requires a vectorized world (it consumes
-    the fleet's shared noise channels directly).
+    A scalar world gets :class:`ScalarAssurancePlane`, a vectorized one
+    :class:`BatchAssurancePlane` (it consumes the fleet's shared noise
+    channels directly). For the reference plane on a vectorized world,
+    construct :class:`ScalarAssurancePlane` directly.
     """
-    if engine is None:
-        engine = world.engine
-    if engine == "scalar":
-        return ScalarAssurancePlane(world, cl_range_m=cl_range_m)
-    if engine == "vectorized":
+    if world.engine == "vectorized":
         return BatchAssurancePlane(world, cl_range_m=cl_range_m)
-    raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    return ScalarAssurancePlane(world, cl_range_m=cl_range_m)

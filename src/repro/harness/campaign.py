@@ -32,6 +32,7 @@ side effect of that module.
 from __future__ import annotations
 
 import importlib
+import math
 import multiprocessing
 import time
 import traceback
@@ -82,8 +83,12 @@ class FaultPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
+        if self.timeout_s is not None and not math.isfinite(self.timeout_s):
+            raise ValueError(f"timeout_s must be finite, got {self.timeout_s}")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
+        if not math.isfinite(self.backoff_s):
+            raise ValueError(f"backoff_s must be finite, got {self.backoff_s}")
         if self.backoff_s < 0:
             raise ValueError(f"backoff_s must be >= 0, got {self.backoff_s}")
 

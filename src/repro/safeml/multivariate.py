@@ -14,6 +14,8 @@ Both are O(n²) in the window size, fine for SafeML-scale windows.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -102,7 +104,13 @@ def mmd_rbf(a: np.ndarray, b: np.ndarray, bandwidth: float | None = None) -> flo
     shift = _binary_exponent(a, b)
     a = np.ldexp(a, -shift)
     b = np.ldexp(b, -shift)
-    sigma = float(np.ldexp(sigma, -shift))
+    try:
+        sigma = math.ldexp(sigma, -shift)
+    except OverflowError:
+        # Tiny samples (down to subnormals) under a large bandwidth, e.g.
+        # the median heuristic's 1.0 fallback: the unit-scale bandwidth
+        # exceeds the float range, so gamma rounds to 0.0 either way.
+        sigma = math.inf
     gamma = 1.0 / (2.0 * sigma * sigma)
 
     def kernel_mean(x: np.ndarray, y: np.ndarray) -> float:

@@ -67,6 +67,34 @@ _MODE_CODE = {
 }
 
 
+def row_index(rows: list[int], n: int) -> slice | np.ndarray:
+    """Index for a sorted subset ``rows`` of ``range(n)``.
+
+    A proper subset gives an index array. Every row gives
+    ``slice(0, n)``: basic slicing is a view, so the all-rows case does
+    the same arithmetic with no gather copy, and :meth:`NoiseChannel.take`
+    keeps its shared cursor.
+    """
+    if len(rows) < n:
+        return np.array(rows, dtype=np.intp)
+    return slice(0, n)
+
+
+def fix_quality(u: np.ndarray, spoofed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched ``GpsSensor.measure`` satellite count and HDOP.
+
+    ``u`` holds one quality draw per row (from :meth:`FleetEngine.gps_fix`);
+    ``spoofed`` flags rows whose spoof offset is non-zero.
+    """
+    sats = np.where(
+        spoofed,
+        6 + (u[:, 0] * 3.0).astype(np.int64),
+        7 + (u[:, 0] * 6.0).astype(np.int64),
+    )
+    hdop = np.where(spoofed, 1.2 + 1.0 * u[:, 1], 0.7 + 0.7 * u[:, 1])
+    return sats, hdop
+
+
 class NoiseChannel:
     """Chunk-prefetched noise streams, one generator per fleet row.
 
@@ -142,8 +170,14 @@ class NoiseChannel:
         self._shared = cursor + 1
         return self._buf[:nrows, cursor]
 
-    def take(self, rows: np.ndarray) -> np.ndarray:
-        """Consume one event for every index in ``rows``; returns (M, width)."""
+    def take(self, rows: slice | np.ndarray) -> np.ndarray:
+        """Consume one event for every index in ``rows``; returns (M, width).
+
+        ``rows`` is a :func:`row_index`: its every-row slice is served by
+        :meth:`take_all`.
+        """
+        if rows.__class__ is slice:
+            return self.take_all()
         self._desync()
         cur = self._cur
         cursors = cur[rows]
@@ -328,14 +362,23 @@ class FleetDynamics(UavDynamics):
 
 
 class FleetBattery(Battery):
-    """`Battery` view over one fleet row (SoC and temperature array-backed)."""
+    """`Battery` view over one fleet row (SoC and temperature array-backed).
+
+    Construction re-homes ``source`` into the row: its spec constants,
+    state of charge and temperature.
+    """
 
     def __init__(self, arrays: FleetArrays, row: int, source: Battery) -> None:
         self._a = arrays
         self._row = row
-        self.spec = source.spec
+        bspec = self.spec = source.spec
         self.faults = source.faults
         self.faulted = source.faulted
+        arrays.capacity_wh[row] = bspec.capacity_wh
+        arrays.hover_w[row] = bspec.hover_draw_w
+        arrays.cruise_w[row] = bspec.cruise_draw_w
+        arrays.idle_w[row] = bspec.idle_draw_w
+        arrays.thermal_tau[row] = bspec.thermal_time_constant_s
         arrays.soc[row] = source.soc
         arrays.temp_c[row] = source.temp_c
 
@@ -401,9 +444,9 @@ class FleetEngine:
         self._spoof_cache: list[tuple] = []
         self._spoofed = np.zeros(0, dtype=bool)
         self._noise_cache: list[float] = []
-        self._imu_std = np.empty(0)
-        self._temp_std = np.empty(0)
-        self._wind_std = np.empty(0)
+        self.imu_std = np.empty(0)
+        self.temp_std = np.empty(0)
+        self.wind_std = np.empty(0)
         self._masks_dirty = True
         self._static_n = -1
         self._alpha_dt = None
@@ -421,12 +464,6 @@ class FleetEngine:
         arrays.max_speed[row] = dyn.max_speed_mps
         arrays.max_accel[row] = dyn.max_accel_mps2
         arrays.max_climb[row] = dyn.max_climb_mps
-        bspec = bat.spec
-        arrays.capacity_wh[row] = bspec.capacity_wh
-        arrays.hover_w[row] = bspec.hover_draw_w
-        arrays.cruise_w[row] = bspec.cruise_draw_w
-        arrays.idle_w[row] = bspec.idle_draw_w
-        arrays.thermal_tau[row] = bspec.thermal_time_constant_s
         arrays.noise_std[row] = uav.sensors.gps.noise_std_m
         arrays.base_e[row] = spec.base_position[0]
         arrays.base_n[row] = spec.base_position[1]
@@ -480,10 +517,10 @@ class FleetEngine:
         self._noise_cache.append(sensors.gps.noise_std_m)
         # Sensor noise magnitudes are spec constants (faults toggle health,
         # denial, and bias — never the std), so they are cached as arrays
-        # and folded into batched telemetry math.
-        self._imu_std = np.append(self._imu_std, sensors.imu.noise_std_mps)
-        self._temp_std = np.append(self._temp_std, sensors.temperature.noise_std_c)
-        self._wind_std = np.append(self._wind_std, sensors.wind.noise_std_mps)
+        # and folded into batched telemetry and assurance math.
+        self.imu_std = np.append(self.imu_std, sensors.imu.noise_std_mps)
+        self.temp_std = np.append(self.temp_std, sensors.temperature.noise_std_c)
+        self.wind_std = np.append(self.wind_std, sensors.wind.noise_std_mps)
         self._masks_dirty = True
         self._static_n = -1
 
@@ -533,13 +570,24 @@ class FleetEngine:
         self._codes[k] = code
         self._masks_dirty = True
 
-    # ------------------------------------------------------------ geo math
-    def _roundtrip(self, noisy: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Vectorized ``to_enu(to_geo(noisy))`` mirroring the scalar formulas.
+    # ------------------------------------------------------- measurements
+    def gps_fix(
+        self,
+        rows: slice | np.ndarray,
+        pos: np.ndarray,
+        spoof: np.ndarray,
+        noise_std: np.ndarray,
+    ) -> tuple[np.ndarray, ...]:
+        """Batched valid ``GpsSensor.measure`` for ``rows`` (a :func:`row_index`).
 
-        Returns ``(lat, lon, alt, east, north, up)`` so telemetry can build
-        GpsFix points from the same intermediate values.
+        Consumes one gps and one quality event per row, as the scalar
+        measure does. Returns ``(lat, lon, alt, east, north, up, u)``: the
+        fix point, its vectorized ``to_enu(to_geo(noisy))`` mirroring the
+        scalar formulas, and the quality draws (see :func:`fix_quality`).
         """
+        z = self.ch_gps.take(rows)
+        u = self.ch_quality.take(rows)
+        noisy = (pos[rows] + spoof[rows]) + noise_std[rows, None] * z
         olat, olon, oalt = self._olat, self._olon, self._oalt
         lat = olat + np.degrees(noisy[:, 1] / EARTH_RADIUS_M)
         lon = olon + np.degrees(noisy[:, 0] / (EARTH_RADIUS_M * self._coslat0))
@@ -547,7 +595,15 @@ class FleetEngine:
         east = np.radians(lon - olon) * EARTH_RADIUS_M * self._coslat0
         north = np.radians(lat - olat) * EARTH_RADIUS_M
         up = alt - oalt
-        return lat, lon, alt, east, north, up
+        return lat, lon, alt, east, north, up, u
+
+    def imu_measure(self, rows: slice | np.ndarray) -> np.ndarray:
+        """Batched healthy ``ImuSensor.measure`` of the ground velocity."""
+        arrays = self.arrays
+        z = self.ch_imu.take(rows)
+        return (arrays.velocity[rows] + arrays.drift[rows]) + self.imu_std[
+            rows, None
+        ] * z
 
     # ----------------------------------------------------------------- step
     def step(
@@ -628,12 +684,6 @@ class FleetEngine:
                 # Mid-run pack swap (`uav.battery = Battery(...)`, e.g. the
                 # fig5 naive-policy replacement): re-home the fresh pack
                 # into the arrays so fleet state tracks the new object.
-                bspec = battery.spec
-                arrays.capacity_wh[k] = bspec.capacity_wh
-                arrays.hover_w[k] = bspec.hover_draw_w
-                arrays.cruise_w[k] = bspec.cruise_draw_w
-                arrays.idle_w[k] = bspec.idle_draw_w
-                arrays.thermal_tau[k] = bspec.thermal_time_constant_s
                 battery = FleetBattery(arrays, k, battery)
                 uav.battery = battery
                 bats[k] = battery
@@ -647,25 +697,13 @@ class FleetEngine:
 
         # --- nav phase: believed positions (scalar: Uav.nav_position)
         believed = pos.copy()
-        n_gps = len(gps_rows)
-        if n_gps:
-            if n_gps == n:
-                z = self.ch_gps.take_all()
-                self.ch_quality.take_all()  # quality drawn (unused) by nav
-                noisy = (pos + spoof) + noise_std[:, None] * z
-                _, _, _, east, north, up = self._roundtrip(noisy)
-                believed[:, 0] = east
-                believed[:, 1] = north
-                believed[:, 2] = up
-            else:
-                ga = np.array(gps_rows)
-                z = self.ch_gps.take(ga)
-                self.ch_quality.take(ga)
-                noisy = (pos[ga] + spoof[ga]) + noise_std[ga, None] * z
-                _, _, _, east, north, up = self._roundtrip(noisy)
-                believed[ga, 0] = east
-                believed[ga, 1] = north
-                believed[ga, 2] = up
+        if gps_rows:
+            ga = row_index(gps_rows, n)
+            # Quality is drawn (and unused) by nav, as in the scalar measure.
+            _, _, _, east, north, up, _ = self.gps_fix(ga, pos, spoof, noise_std)
+            believed[ga, 0] = east
+            believed[ga, 1] = north
+            believed[ga, 2] = up
         for k in denied_rows:
             trail = uavs[k].believed_trajectory
             if len(trail):
@@ -920,57 +958,26 @@ class FleetEngine:
         cams = self._cams
         n_valid = len(tel_valid)
         if n_valid:
-            if n_valid == n:
-                z = self.ch_gps.take_all()
-                u = self.ch_quality.take_all()
-                noisy = (pos + spoof) + noise_std[:, None] * z
-                sp = self._spoofed[:n]
-            else:
-                va = np.array(tel_valid)
-                z = self.ch_gps.take(va)
-                u = self.ch_quality.take(va)
-                noisy = (pos[va] + spoof[va]) + noise_std[va, None] * z
-                sp = self._spoofed[va]
-            lat, lon, alt, east, north, up = self._roundtrip(noisy)
-            sats_l = np.where(
-                sp,
-                6 + (u[:, 0] * 3.0).astype(np.int64),
-                7 + (u[:, 0] * 6.0).astype(np.int64),
-            ).tolist()
-            hdop_l = np.where(sp, 1.2 + 1.0 * u[:, 1], 0.7 + 0.7 * u[:, 1]).tolist()
+            va = row_index(tel_valid, n)
+            lat, lon, alt, east, north, up, u = self.gps_fix(
+                va, pos, spoof, noise_std
+            )
+            sats, hdop = fix_quality(u, self._spoofed[va])
+            sats_l = sats.tolist()
+            hdop_l = hdop.tolist()
             lat_l = lat.tolist()
             lon_l = lon.tolist()
             alt_l = alt.tolist()
             pos_tuples = list(zip(east.tolist(), north.tolist(), up.tolist()))
         n_imu = len(imu_rows)
         if n_imu:
-            if n_imu == n:
-                zi = self.ch_imu.take_all()
-                iv = (arrays.velocity[:n] + arrays.drift[:n]) + self._imu_std[
-                    :n, None
-                ] * zi
-            else:
-                ia = np.array(imu_rows)
-                zi = self.ch_imu.take(ia)
-                iv = (arrays.velocity[ia] + arrays.drift[ia]) + self._imu_std[
-                    ia, None
-                ] * zi
+            iv = self.imu_measure(row_index(imu_rows, n))
             iv_tuples = list(map(tuple, iv.tolist()))
-        if len(tel_rows) == n:
-            zt = self.ch_temp.take_all()[:, 0]
-            zw = self.ch_wind.take_all()[:, 0]
-            bt_l = (arrays.temp_c[:n] + self._temp_std[:n] * zt).tolist()
-            wv_l = np.maximum(
-                0.0, wind_mps + self._wind_std[:n] * zw
-            ).tolist()
-        else:
-            ta = np.array(tel_rows)
-            zt = self.ch_temp.take(ta)[:, 0]
-            zw = self.ch_wind.take(ta)[:, 0]
-            bt_l = (arrays.temp_c[ta] + self._temp_std[ta] * zt).tolist()
-            wv_l = np.maximum(
-                0.0, wind_mps + self._wind_std[ta] * zw
-            ).tolist()
+        ta = row_index(tel_rows, n)
+        zt = self.ch_temp.take(ta)[:, 0]
+        zw = self.ch_wind.take(ta)[:, 0]
+        bt_l = (arrays.temp_c[ta] + self.temp_std[ta] * zt).tolist()
+        wv_l = np.maximum(0.0, wind_mps + self.wind_std[ta] * zw).tolist()
         soc_l = arrays.soc[:n].tolist()
         # Per-row instances are built by assigning the instance dict
         # directly — identical objects to calling the frozen-dataclass
@@ -979,45 +986,8 @@ class FleetEngine:
         # loop runs fleet_size times per step; it is the hottest
         # allocation site in the engine.
         geo_cls, fix_cls, tel_cls = GeoPoint, GpsFix, Telemetry
-        n_tel = len(tel_rows)
         items: list[tuple] = []
         items_append = items.append
-        if n_valid == n_tel and n_imu == n_tel:
-            # Fast path for the nominal fleet: every due row has a valid
-            # fix and a healthy IMU, so every per-row list lines up with
-            # tel_rows and the subsequence counters disappear.
-            vel_tuples = list(map(tuple, vel_l))
-            for j, k in enumerate(tel_rows):
-                point = geo_cls.__new__(geo_cls)
-                point.__dict__.update({
-                    "lat": lat_l[j], "lon": lon_l[j], "alt": alt_l[j],
-                })
-                fix = fix_cls.__new__(fix_cls)
-                fix.__dict__.update({
-                    "point": point,
-                    "num_satellites": sats_l[j],
-                    "hdop": hdop_l[j],
-                    "valid": True,
-                    "stamp": now,
-                })
-                sample = tel_cls.__new__(tel_cls)
-                sample.__dict__.update({
-                    "uav_id": ids[k],
-                    "stamp": now,
-                    "mode": mode_str[k],
-                    "position_enu": pos_tuples[j],
-                    "velocity_enu": vel_tuples[k],
-                    "gps": fix,
-                    "imu_velocity": iv_tuples[j],
-                    "battery_soc": soc_l[k],
-                    "battery_temp_c": bt_l[j],
-                    "camera_health": cams[k].health,
-                    "wind_mps": wv_l[j],
-                })
-                uavs[k]._last_telemetry = now
-                items_append((topics[k], sample, ids[k]))
-            self.world.bus.publish_many(items, now)
-            return
         vi = 0
         ii = 0
         for j, k in enumerate(tel_rows):

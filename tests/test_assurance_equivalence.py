@@ -308,17 +308,15 @@ def test_single_uav_has_no_collaborators():
     assert batched_plane.evidence(uav_id)["nearby_uavs_available"] is False
 
 
-def test_engine_switch_vocabulary_matches_world():
-    """build_assurance speaks the exact engine vocabulary World does."""
+def test_build_assurance_follows_world_engine():
+    """build_assurance picks the plane that matches ``world.engine``."""
     world = build_three_uav_world(seed=0, n_persons=0).world
-    with pytest.raises(ValueError, match="unknown engine"):
-        build_assurance(world, engine="warp")
-    assert build_assurance(world, engine="scalar").engine == "scalar"
+    assert isinstance(build_assurance(world), ScalarAssurancePlane)
     vec = build_three_uav_world(seed=0, n_persons=0, engine="vectorized").world
-    assert build_assurance(vec).engine == "vectorized"
+    assert isinstance(build_assurance(vec), BatchAssurancePlane)
     # The batched plane refuses a scalar world: it needs fleet channels.
     with pytest.raises(ValueError, match="vectorized assurance"):
-        build_assurance(world, engine="vectorized")
+        BatchAssurancePlane(world)
 
 
 def test_compiled_network_matches_template_shape():

@@ -22,11 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.batch import (
-    BatchSafeDrones,
-    compiled_conserts,
-    stacked_safeml_reports,
-)
+from repro.core.batch import BatchSafeDrones, compiled_conserts
 from repro.core.uav_network import UavConSertNetwork
 from repro.harness.oracles import (
     RELIABILITY_RANK,
@@ -217,13 +213,13 @@ def _fitted_monitor(measure: str, rng, shift: float) -> SafeMlMonitor:
 
 @pytest.mark.parametrize("measure", sorted(ALL_MEASURES))
 def test_stacked_distances_respect_bounds(measure):
-    """Every stacked distance is finite, >= 0, and below its sup."""
+    """Every monitor-reported distance is finite, >= 0, and below its sup."""
     rng = np.random.default_rng(29)
     monitors = [
         _fitted_monitor(measure, rng, shift)
         for shift in (0.0, 0.5, 2.0, 10.0, -25.0)
     ]
-    for report in stacked_safeml_reports(monitors, now=1.0):
+    for report in (monitor.report(1.0) for monitor in monitors):
         for value in report.distances.values():
             assert distance_in_bounds(measure, value), (
                 f"{measure} out of bounds: {value!r}"
@@ -239,7 +235,7 @@ def test_identical_windows_have_zero_distance(measure):
     monitor.fit(np.vstack([training, training]))
     for row in training:
         monitor.observe(row)
-    (report,) = stacked_safeml_reports([monitor], now=1.0)
+    report = monitor.report(1.0)
     # The window IS (half of) the reference sample: both ECDFs coincide
     # on the pooled support, so every measure must return exactly 0.
     assert all(value == 0.0 for value in report.distances.values()), (

@@ -222,6 +222,14 @@ class TestMultivariateDistances:
             energy_distance(SAME_A, SHIFTED), rel=1e-9
         )
 
+    def test_subnormal_sample_under_fallback_bandwidth(self):
+        # Most pairs coincide, so the median heuristic falls back to a
+        # bandwidth of 1.0, which overflows at the samples' unit scale.
+        tiny = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 5e-324]])
+        assert median_heuristic_bandwidth(tiny, tiny) == 1.0
+        assert mmd_rbf(tiny, tiny) == 0.0
+        assert mmd_rbf(tiny, np.zeros((4, 2))) == 0.0
+
     def test_power_of_two_scale_is_exact(self):
         scale = 2.0**-500
         assert mmd_rbf(SAME_A * scale, SHIFTED * scale) == mmd_rbf(SAME_A, SHIFTED)

@@ -10,10 +10,13 @@ after the "fix".
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 import repro.harness.chaos  # noqa: F401  (registers "chaos")
 from repro import obs
+from repro.__main__ import main as cli_main
 from repro.harness.cache import ResultCache
 from repro.harness.campaign import (
     CampaignAborted,
@@ -173,6 +176,26 @@ class TestRetries:
             FaultPolicy(timeout_s=0.0)
         with pytest.raises(ValueError):
             FaultPolicy(backoff_s=-1.0)
+
+    @pytest.mark.parametrize("field", ["timeout_s", "backoff_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_policy_rejected(self, field, value):
+        # inf backoff never makes a retry due; nan backoff drops it from
+        # the schedule; nan timeout silently disables the timeout.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            FaultPolicy(**{field: value})
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--timeout", "-1"], ["--retries", "-1"], ["--backoff", "nan"],
+         ["--timeout", "inf"]],
+    )
+    def test_cli_bad_policy_exits_2(self, flags, capsys):
+        argv = ["campaign", "chaos", "--no-cache", *flags]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "must be" in err
 
 
 class TestCheckpointAndResume:

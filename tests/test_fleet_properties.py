@@ -43,6 +43,7 @@ from repro.uav.faults import (
     imu_failure,
     motor_failure,
 )
+from repro.uav.fleet import CHUNK, NoiseChannel, row_index
 from repro.uav.uav import FlightMode
 from repro.uav.world import World
 
@@ -172,6 +173,39 @@ def test_random_fleet_matches_scalar_reference(trial):
             assert uav.battery.soc == peer.battery.soc
             assert uav.battery.temp_c == peer.battery.temp_c
             assert uav.mode is peer.mode
+
+
+def test_noise_channel_row_index_contract():
+    """``take(row_index(...))`` draws exactly what per-row generators would.
+
+    The every-row slice is served through ``take_all`` and keeps the
+    channel on its shared cursor; a later index-array take drops it to
+    per-row cursors and still matches sequential per-row draws, across
+    chunk refills.
+    """
+    n = 5
+    channel = NoiseChannel(3, "normal")
+    for seed in range(n):
+        channel.add_row(np.random.default_rng(seed))
+    gens = [np.random.default_rng(seed) for seed in range(n)]
+
+    every = row_index(list(range(n)), n)
+    assert every == slice(0, n)
+    for _ in range(CHUNK + 3):
+        expected = np.array([gen.standard_normal(3) for gen in gens])
+        assert (channel.take(every) == expected).all()
+    assert channel._uniform
+
+    subset = [1, 3]
+    rows = row_index(subset, n)
+    assert isinstance(rows, np.ndarray)
+    for _ in range(CHUNK + 3):
+        expected = np.array([gens[k].standard_normal(3) for k in subset])
+        assert (channel.take(rows) == expected).all()
+    assert not channel._uniform
+    for _ in range(2):
+        expected = np.array([gen.standard_normal(3) for gen in gens])
+        assert (channel.take(every) == expected).all()
 
 
 class TestZeroUavWorld:
