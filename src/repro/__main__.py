@@ -176,70 +176,6 @@ def _run_single(name: str, args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_fuzz_cli(args: argparse.Namespace, policy) -> int:
-    """``python -m repro campaign fuzz``: generate, check, shrink."""
-    import json as json_module
-
-    from repro.harness.campaign import CampaignAborted
-    from repro.harness.fuzz import run_fuzz
-    from repro.harness.fuzz.campaign import summarize_fuzz
-
-    chaos = json_module.loads(args.chaos) if args.chaos else None
-    try:
-        outcome = run_fuzz(
-            profile=args.profile,
-            count=args.count,
-            root_seed=args.seed,
-            workers=args.workers,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            manifest_path=args.manifest,
-            artifacts_dir=args.artifacts,
-            chaos=chaos,
-            shrink=not args.no_shrink,
-            policy=policy,
-            resume=args.resume,
-        )
-    except CampaignAborted as exc:
-        print(f"campaign aborted: {exc}", file=sys.stderr)
-        return 3
-    except KeyboardInterrupt:
-        print(
-            "\nfuzzing interrupted — completed scenarios are checkpointed; "
-            "rerun to pick up where it left off",
-            file=sys.stderr,
-        )
-        return 130
-    result = outcome.campaign
-    print(
-        f"campaign fuzz grid={result.grid} root_seed={result.root_seed} "
-        f"workers={result.workers}"
-    )
-    totals = result.manifest["totals"]
-    print(
-        f"samples: {totals['samples']} ({totals['cached']} cached, "
-        f"{totals['failed']} failed)  "
-        f"wall: {totals['wall_s']:.2f} s  fingerprint: {result.fingerprint}"
-    )
-    if result.manifest_path is not None:
-        print(f"manifest: {result.manifest_path}")
-    print(summarize_fuzz(result))
-    for seed, path in outcome.repro_paths.items():
-        shrunk = outcome.shrink_results[seed]
-        print(
-            f"minimized repro ({shrunk.oracle}, {shrunk.checks} shrink "
-            f"checks): {path}"
-        )
-        print(f"  replay with: python -m repro scenario replay {path}")
-    if not outcome.ok:
-        print(
-            f"{len(outcome.violations)} oracle-violating and "
-            f"{len(outcome.crashes)} crashed scenario(s) quarantined",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _print_catalog() -> None:
     """The experiment catalogue with grid presets (also GET /experiments)."""
     from repro.experiments.campaigns import experiment_catalog
@@ -250,9 +186,17 @@ def _print_catalog() -> None:
 
 
 def _run_campaign_cli(args: argparse.Namespace) -> int:
-    """``python -m repro campaign <experiment>``: a sharded, cached sweep."""
+    """``python -m repro campaign <experiment>``: a sharded, cached sweep.
+
+    ``campaign fuzz`` takes the same path through :func:`run_fuzz`, which
+    adds the generated grid, shrinking and reproducer files on top of
+    :func:`run_campaign`.
+    """
+    import json
+
     from repro.experiments.campaigns import get_experiment
     from repro.harness.campaign import CampaignAborted, FaultPolicy, run_campaign
+    from repro.harness.fuzz import run_fuzz
 
     if args.list or args.campaign_experiment in (None, "list"):
         _print_catalog()
@@ -261,6 +205,9 @@ def _run_campaign_cli(args: argparse.Namespace) -> int:
         experiment = get_experiment(args.campaign_experiment)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
+        return 2
+    if args.workers < 1:
+        print(f"workers must be >= 1, got {args.workers}", file=sys.stderr)
         return 2
     try:
         policy = FaultPolicy(
@@ -272,22 +219,45 @@ def _run_campaign_cli(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    if experiment.name == "fuzz":
-        return _run_fuzz_cli(args, policy)
+    fuzz = experiment.name == "fuzz"
+    unsupported = [
+        flag for flag, value in
+        (("--trace", args.trace), ("--metrics", args.metrics), ("--batch", args.batch))
+        if value
+    ]
+    if fuzz and unsupported:
+        print(f"campaign fuzz does not support {', '.join(unsupported)}",
+              file=sys.stderr)
+        return 2
+    common = dict(
+        root_seed=args.seed,
+        workers=args.workers,
+        cache_dir=None if args.no_cache else args.cache_dir,
+        manifest_path=args.manifest,
+        policy=policy,
+        resume=args.resume,
+    )
+    outcome = None
     try:
-        result = run_campaign(
-            experiment,
-            grid=args.grid,
-            root_seed=args.seed,
-            workers=args.workers,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            manifest_path=args.manifest,
-            observe=args.metrics is not None,
-            trace_path=args.trace,
-            policy=policy,
-            resume=args.resume,
-            batch=args.batch,
-        )
+        if fuzz:
+            outcome = run_fuzz(
+                profile=args.profile,
+                count=args.count,
+                artifacts_dir=args.artifacts,
+                chaos=json.loads(args.chaos) if args.chaos else None,
+                shrink=not args.no_shrink,
+                **common,
+            )
+            result = outcome.campaign
+        else:
+            result = run_campaign(
+                experiment,
+                grid=args.grid,
+                observe=args.metrics is not None,
+                trace_path=args.trace,
+                batch=args.batch,
+                **common,
+            )
     except CampaignAborted as exc:
         print(f"campaign aborted: {exc}", file=sys.stderr)
         print(
@@ -321,6 +291,15 @@ def _run_campaign_cli(args: argparse.Namespace) -> int:
         _write_metrics_dump(args.metrics, result.manifest.get("metrics"))
     if experiment.summarize is not None:
         print(experiment.summarize(result))
+    if outcome is not None:
+        for seed, path in outcome.repro_paths.items():
+            # Swarm violations are saved as generated, without shrinking.
+            shrunk = outcome.shrink_results.get(seed)
+            label = "repro" if shrunk is None else (
+                f"minimized repro ({shrunk.oracle}, {shrunk.checks} shrink checks)"
+            )
+            print(f"{label}: {path}")
+            print(f"  replay with: python -m repro scenario replay {path}")
     if totals["failed"]:
         for record in result.failed_records:
             error = record.error or {}
@@ -335,8 +314,14 @@ def _run_campaign_cli(args: argparse.Namespace) -> int:
             "rerun with --resume after fixing the experiment",
             file=sys.stderr,
         )
+    if outcome is not None and not outcome.ok:
+        print(
+            f"{len(outcome.violations)} oracle-violating and "
+            f"{len(outcome.crashes)} crashed scenario(s) quarantined",
+            file=sys.stderr,
+        )
         return 1
-    return 0
+    return 1 if totals["failed"] else 0
 
 
 def _run_scenario_cli(args: argparse.Namespace) -> int:
@@ -375,12 +360,18 @@ def _run_scenario_cli(args: argparse.Namespace) -> int:
         )
         return 0
 
-    # replay: run the scenario under the full property-oracle suite.
-    from repro.harness.oracles import run_scenario_oracles
+    # replay: run the scenario under the full property-oracle suite (a
+    # swarm fuzz reproducer under the swarm tasking oracle).
+    from repro.harness.oracles import run_scenario_oracles, run_swarm_oracles
     from repro.scenario import ScenarioError
 
     try:
-        report = run_scenario_oracles(config, horizon_s=args.horizon)
+        if config.get("kind") == "swarm":
+            if args.horizon is not None:
+                config["horizon_s"] = args.horizon
+            report = run_swarm_oracles(config)
+        else:
+            report = run_scenario_oracles(config, horizon_s=args.horizon)
     except ScenarioError as exc:
         print(f"{path}: scenario does not load: {exc}", file=sys.stderr)
         return 1

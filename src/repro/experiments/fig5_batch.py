@@ -98,9 +98,7 @@ def _run_policy_stacked(
         [uav.spec.rotor_count for uav in uavs],
         pof_abort_threshold=fig5.POF_THRESHOLD,
     )
-    temp_std = np.array(
-        [uav.sensors.temperature.noise_std_c for uav in uavs], dtype=float
-    )
+    temp_std = fleet.temp_std[:n]
     states = [fig5.ScenarioTrace() for _ in range(n)]
     active = list(range(n))
     while active and world.time < fig5.POLICY_HORIZON_S:

@@ -14,19 +14,20 @@ identically to one that never failed.
 
 Fault tolerance: every finished record is checkpointed into the
 :class:`~repro.harness.cache.ResultCache` the moment it completes, so an
-interrupted campaign loses at most the in-flight samples. A
-:class:`FaultPolicy` bounds each sample with a wall-clock timeout and
-retries with linear backoff; samples that still fail are quarantined as
-structured ``status: "failed"`` records in the manifest instead of an
-exception killing their siblings. ``run_campaign(..., resume=True)``
-re-runs only failed or missing grid points against the existing cache,
-and ``FaultPolicy.max_failures`` aborts early (:class:`CampaignAborted`)
-when the whole grid is broken.
+interrupted campaign loses at most the in-flight samples. Every sample
+runs through one attempt loop, in this process or in forked child
+processes alike: a :class:`FaultPolicy` bounds each forked attempt with
+a wall-clock timeout and retries with linear backoff; samples that still
+fail are quarantined as structured ``status: "failed"`` records in the
+manifest instead of an exception killing their siblings.
+``run_campaign(..., resume=True)`` re-runs only failed or missing grid
+points against the existing cache, and ``FaultPolicy.max_failures``
+aborts early (:class:`CampaignAborted`) when the whole grid is broken.
 
 Experiments register a :class:`CampaignExperiment` (usually at module
-import, see :mod:`repro.experiments.campaigns`); supervised workers
-re-import the defining module by name, so registration must be an import
-side effect of that module.
+import, see :mod:`repro.experiments.campaigns`); forked workers re-import
+the defining module by name, so registration must be an import side
+effect of that module.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ class FaultPolicy:
 
     ``timeout_s``
         Wall-clock budget for one attempt; a sample still running past it
-        is terminated (supervised execution only — setting a timeout
-        forces supervised child processes even at ``workers=1``).
+        is terminated (forked attempts only — setting a timeout forces
+        child processes even at ``workers=1``).
     ``max_attempts``
         Total attempts per sample (1 = no retries). Every attempt re-runs
         with the sample's original spawned seed, so a retried success is
@@ -71,8 +72,8 @@ class FaultPolicy:
         Base delay between attempts; attempt *k* waits ``backoff_s * k``.
     ``max_failures``
         Abort the campaign (:class:`CampaignAborted`) once more than this
-        many samples have been quarantined this run; ``None`` never
-        aborts. Completed samples stay checkpointed either way.
+        many samples have been quarantined this run (``>= 0``); ``None``
+        never aborts. Completed samples stay checkpointed either way.
     """
 
     timeout_s: float | None = None
@@ -91,6 +92,8 @@ class FaultPolicy:
             raise ValueError(f"backoff_s must be finite, got {self.backoff_s}")
         if self.backoff_s < 0:
             raise ValueError(f"backoff_s must be >= 0, got {self.backoff_s}")
+        if self.max_failures is not None and self.max_failures < 0:
+            raise ValueError(f"max_failures must be >= 0, got {self.max_failures}")
 
 
 #: Default policy: one attempt, no timeout, quarantine but never abort.
@@ -102,8 +105,8 @@ class CampaignControl:
     """External control surface for a long-running campaign.
 
     ``should_cancel``
-        Polled between samples (and between scheduler passes of the
-        supervised pool). Returning ``True`` raises
+        Polled between passes of the attempt loop (so between samples
+        and while a retry waits out its backoff). Returning ``True`` raises
         :class:`CampaignCancelled` after terminating in-flight attempts;
         completed samples stay checkpointed in the result cache, so a
         later ``run_campaign(..., resume=True)`` re-runs only what was
@@ -217,24 +220,11 @@ class SampleRecord:
     oracles: dict | None = None
 
     def to_dict(self) -> dict:
-        data = {
-            "index": self.index,
-            "seed": self.seed,
-            "config": self.config,
-            "result": self.result,
-            "wall_time_s": self.wall_time_s,
-            "worker": self.worker,
-            "cached": self.cached,
-            "timings": self.timings,
-            "status": self.status,
-            "attempts": self.attempts,
-        }
-        if self.error is not None:
-            data["error"] = self.error
-        if self.metrics is not None:
-            data["metrics"] = self.metrics
-        if self.oracles is not None:
-            data["oracles"] = self.oracles
+        """The manifest/cache dict; unset optional blocks are omitted."""
+        data = {name: getattr(self, name) for name in self.__dataclass_fields__}
+        for name in ("error", "metrics", "oracles"):
+            if data[name] is None:
+                del data[name]
         return data
 
     @classmethod
@@ -308,6 +298,28 @@ def list_experiments() -> list[CampaignExperiment]:
 
 
 # --------------------------------------------------------------- execution
+def _record(
+    index: int, config: dict, seed: int, result: dict | None, *,
+    wall_s: float, worker: str, timings: dict,
+    attempts: int = 1, error: dict | None = None,
+) -> dict:
+    """One fresh manifest record; ``error`` marks it quarantined.
+
+    A sample function that returns an ``"oracles"`` entry in its result
+    (the property-oracle verdict block, see :mod:`repro.harness.oracles`)
+    has it lifted to a top-level record field — deterministic, hashed by
+    the manifest fingerprint, and queryable without digging into
+    experiment-specific result shapes.
+    """
+    oracles = result.pop("oracles", None) if isinstance(result, dict) else None
+    return SampleRecord(
+        index=index, seed=seed, config=config, result=result,
+        wall_time_s=round(wall_s, 6), worker=worker, cached=False,
+        timings=timings, status="ok" if error is None else "failed",
+        attempts=attempts, error=error, oracles=oracles,
+    ).to_dict()
+
+
 def _execute_sample(
     experiment: CampaignExperiment,
     index: int,
@@ -322,12 +334,6 @@ def _execute_sample(
     merged campaign-wide) and a transient ``"obs"`` blob of spans/events
     that :func:`run_campaign` strips into the trace file — it never
     reaches the cache or the manifest.
-
-    A sample function that returns an ``"oracles"`` entry in its result
-    (the property-oracle verdict block, see :mod:`repro.harness.oracles`)
-    has it lifted to a top-level record field — deterministic, hashed by
-    the manifest fingerprint, and queryable without digging into
-    experiment-specific result shapes.
     """
     timer = PhaseTimer()
     start = time.perf_counter()
@@ -338,22 +344,12 @@ def _execute_sample(
     else:
         result = experiment.sample_fn(dict(config), seed, timer)
         payload = None
-    wall = time.perf_counter() - start
-    oracles = result.pop("oracles", None) if isinstance(result, dict) else None
-    record = {
-        "index": index,
-        "seed": seed,
-        "config": config,
-        "result": result,
-        "wall_time_s": round(wall, 6),
-        "worker": multiprocessing.current_process().name,
-        "cached": False,
-        "timings": timer.as_dict(),
-        "status": "ok",
-        "attempts": 1,
-    }
-    if oracles is not None:
-        record["oracles"] = oracles
+    record = _record(
+        index, config, seed, result,
+        wall_s=time.perf_counter() - start,
+        worker=multiprocessing.current_process().name,
+        timings=timer.as_dict(),
+    )
     if payload is not None:
         record["metrics"] = payload["metrics"]
         record["obs"] = {"spans": payload["spans"], "events": payload["events"]}
@@ -392,35 +388,17 @@ def _timeout_error(timeout_s: float) -> dict:
     }
 
 
-def _failure_record(
-    index: int, config: dict, seed: int, error: dict,
-    attempts: int, wall_s: float, worker: str,
-) -> dict:
-    """The quarantined manifest entry for a sample that exhausted retries."""
-    return {
-        "index": index,
-        "seed": seed,
-        "config": config,
-        "result": None,
-        "wall_time_s": round(wall_s, 6),
-        "worker": worker,
-        "cached": False,
-        "timings": {},
-        "status": "failed",
-        "attempts": attempts,
-        "error": error,
-    }
-
-
-def _note_retry(experiment: str, index: int, attempt: int, error: dict) -> None:
+def _note_fault(
+    counter: str, severity: str, name: str, experiment: str, error: dict,
+    **payload,
+) -> None:
+    """Count a failed attempt (retried or quarantined) and log its event."""
     if obs.OBS.enabled:
         obs.OBS.metrics.inc(
-            "campaign_retries_total",
-            experiment=experiment, kind=error.get("kind", "unknown"),
+            counter, experiment=experiment, kind=error.get("kind", "unknown"),
         )
     obs.event(
-        "warning", "harness.campaign", "sample_retry",
-        index=index, attempt=attempt, kind=error.get("kind"),
+        severity, "harness.campaign", name, **payload, kind=error.get("kind"),
     )
 
 
@@ -428,7 +406,7 @@ def _child_entry(
     conn, module: str, name: str,
     index: int, config: dict, seed: int, observe: bool,
 ) -> None:
-    """Supervised child: run one attempt, report through the pipe.
+    """Forked child: run one attempt, report through the pipe.
 
     Sends ``("ok", record)`` or ``("error", error_dict)``; a child that
     dies without sending anything is detected by the parent as a crash.
@@ -456,15 +434,58 @@ def _pool_context() -> multiprocessing.context.BaseContext:
 
 @dataclass
 class _Attempt:
-    """One supervised in-flight attempt (child process + result pipe)."""
+    """One in-flight attempt: a child process + result pipe, or (with
+    ``process=None``) an attempt that already ran in this process and
+    holds its ``outcome``."""
 
-    process: multiprocessing.process.BaseProcess
+    process: multiprocessing.process.BaseProcess | None
     conn: object
     index: int
     config: dict
     seed: int
     attempt: int
     started: float = field(default_factory=time.monotonic)
+    outcome: tuple[str, dict] | None = None
+
+    def close(self) -> None:
+        """Terminate (if still running) and release a forked attempt."""
+        if self.process is None:
+            return
+        if self.process.is_alive():
+            self.process.terminate()
+        self.process.join()
+        self.conn.close()
+
+
+def _launch(
+    ctx: multiprocessing.context.BaseContext | None,
+    experiment: CampaignExperiment,
+    item: tuple[int, dict, int, int],
+    observe: bool,
+) -> _Attempt:
+    """Start one attempt: in a child process, or (``ctx=None``) right here.
+
+    In-process attempts catch ``Exception`` only, so a ``KeyboardInterrupt``
+    still aborts the campaign with completed samples checkpointed.
+    """
+    index, config, seed, attempt = item
+    if ctx is None:
+        slot = _Attempt(None, None, index, config, seed, attempt)
+        try:
+            record = _execute_sample(experiment, index, config, seed, observe)
+            slot.outcome = ("ok", record)
+        except Exception as exc:
+            slot.outcome = ("error", _describe_error(exc, "exception"))
+        return slot
+    parent_conn, child_conn = ctx.Pipe(duplex=False)
+    process = ctx.Process(
+        target=_child_entry,
+        args=(child_conn, experiment.module, experiment.name,
+              index, config, seed, observe),
+    )
+    process.start()
+    child_conn.close()
+    return _Attempt(process, parent_conn, index, config, seed, attempt)
 
 
 def _reap(slot: _Attempt) -> tuple[str, dict] | None:
@@ -472,10 +493,9 @@ def _reap(slot: _Attempt) -> tuple[str, dict] | None:
     if not slot.conn.poll():
         return None
     try:
-        kind, payload = slot.conn.recv()
+        return slot.conn.recv()
     except (EOFError, OSError):
         return None
-    return (kind, payload)
 
 
 def _poll_attempt(slot: _Attempt, policy: FaultPolicy) -> tuple[str, dict] | None:
@@ -483,9 +503,11 @@ def _poll_attempt(slot: _Attempt, policy: FaultPolicy) -> tuple[str, dict] | Non
 
     Returns ``None`` while still running, else ``("ok", record)`` or
     ``("error", error_dict)`` — covering the three failure paths: an
-    exception reported by the child, a hard crash (child died without
+    exception raised by the sample, a hard crash (child died without
     reporting), and a wall-clock timeout (child terminated by us).
     """
+    if slot.process is None:
+        return slot.outcome
     outcome = _reap(slot)
     if outcome is not None:
         slot.process.join()
@@ -505,30 +527,36 @@ def _poll_attempt(slot: _Attempt, policy: FaultPolicy) -> tuple[str, dict] | Non
     return None
 
 
-def _run_supervised(
+def _run_attempts(
     experiment: CampaignExperiment,
-    pending: list[tuple[int, dict, int, str]],
+    pending: list[tuple[int, dict, int]],
     observe: bool,
     policy: FaultPolicy,
     workers: int,
+    fork: bool,
     checkpoint: Callable[[dict], None],
-    quarantine: Callable[[dict], None],
     check_cancel: Callable[[], None] = lambda: None,
 ) -> None:
-    """Fan pending samples over supervised child processes.
+    """Run pending samples through the one retry/quarantine loop.
 
-    One child per attempt (with a result pipe), at most ``workers`` alive
-    at once. All fault policy lives in this parent loop: exceptions come
-    back through the pipe, hard crashes are children that died silently,
-    timeouts are terminated, and retries are re-dispatched with the
-    sample's original seed after backoff. Finished records stream into
+    At most ``workers`` attempts are in flight. With ``fork`` each
+    attempt is a child process with a result pipe: exceptions come back
+    through the pipe, hard crashes are children that died silently, and
+    timeouts are terminated. Without ``fork`` an attempt runs in this
+    process at launch (no timeout or crash containment — which is why a
+    policy with ``timeout_s`` always forks). Either way failed attempts
+    are re-dispatched with the sample's original seed after backoff,
+    while other samples run; samples out of attempts are quarantined,
+    and more than ``policy.max_failures`` of them raise
+    :class:`CampaignAborted`. Finished records stream into
     ``checkpoint`` the moment they arrive.
     """
-    ctx = _pool_context()
-    ready = [(index, config, seed, 1) for index, config, seed, _ in pending]
+    ctx = _pool_context() if fork else None
+    ready = [(index, config, seed, 1) for index, config, seed in pending]
     ready.reverse()  # pop() from the tail dispatches in grid order
     delayed: list[tuple[float, tuple[int, dict, int, int]]] = []
     running: list[_Attempt] = []
+    failures = 0
     try:
         while ready or delayed or running:
             check_cancel()
@@ -538,18 +566,7 @@ def _run_supervised(
                 delayed = [(at, item) for at, item in delayed if at > now]
                 ready.extend(reversed(due))
             while ready and len(running) < workers:
-                index, config, seed, attempt = ready.pop()
-                parent_conn, child_conn = ctx.Pipe(duplex=False)
-                process = ctx.Process(
-                    target=_child_entry,
-                    args=(child_conn, experiment.module, experiment.name,
-                          index, config, seed, observe),
-                )
-                process.start()
-                child_conn.close()
-                running.append(
-                    _Attempt(process, parent_conn, index, config, seed, attempt)
-                )
+                running.append(_launch(ctx, experiment, ready.pop(), observe))
             progressed = False
             for slot in list(running):
                 outcome = _poll_attempt(slot, policy)
@@ -557,99 +574,70 @@ def _run_supervised(
                     continue
                 progressed = True
                 running.remove(slot)
-                slot.conn.close()
+                slot.close()
                 kind, payload = outcome
                 if kind == "ok":
                     payload["attempts"] = slot.attempt
                     checkpoint(payload)
                 elif slot.attempt < policy.max_attempts:
-                    _note_retry(experiment.name, slot.index, slot.attempt, payload)
+                    _note_fault(
+                        "campaign_retries_total", "warning", "sample_retry",
+                        experiment.name, payload,
+                        index=slot.index, attempt=slot.attempt,
+                    )
                     retry_at = time.monotonic() + policy.backoff_s * slot.attempt
                     delayed.append(
                         (retry_at,
                          (slot.index, slot.config, slot.seed, slot.attempt + 1))
                     )
                 else:
-                    quarantine(_failure_record(
-                        slot.index, slot.config, slot.seed, payload,
-                        slot.attempt, time.monotonic() - slot.started,
-                        slot.process.name,
+                    failures += 1
+                    _note_fault(
+                        "campaign_failures_total", "error", "sample_failed",
+                        experiment.name, payload,
+                        index=slot.index, attempts=slot.attempt,
+                    )
+                    checkpoint(_record(
+                        slot.index, slot.config, slot.seed, None,
+                        wall_s=time.monotonic() - slot.started,
+                        worker=(slot.process or multiprocessing.current_process()).name,
+                        timings={}, attempts=slot.attempt, error=payload,
                     ))
+                    if policy.max_failures is not None and failures > policy.max_failures:
+                        raise CampaignAborted(
+                            experiment.name, failures, policy.max_failures
+                        )
             if not progressed:
                 time.sleep(0.005)
     finally:
         for slot in running:
-            if slot.process.is_alive():
-                slot.process.terminate()
-            slot.process.join()
-            slot.conn.close()
-
-
-def _run_inline(
-    experiment: CampaignExperiment,
-    pending: list[tuple[int, dict, int, str]],
-    observe: bool,
-    policy: FaultPolicy,
-    checkpoint: Callable[[dict], None],
-    quarantine: Callable[[dict], None],
-    check_cancel: Callable[[], None] = lambda: None,
-) -> None:
-    """Serial in-process execution with the same retry/quarantine policy.
-
-    Exceptions are quarantined exactly like the supervised path (so
-    serial and parallel failure handling agree); wall-clock timeouts and
-    hard-crash containment need child processes, which is why a policy
-    with ``timeout_s`` set always routes to :func:`_run_supervised`.
-    """
-    for index, config, seed, _ in pending:
-        check_cancel()
-        attempt = 1
-        while True:
-            start = time.perf_counter()
-            try:
-                record = _execute_sample(experiment, index, config, seed, observe)
-            except Exception as exc:
-                error = _describe_error(exc, "exception")
-                if attempt < policy.max_attempts:
-                    _note_retry(experiment.name, index, attempt, error)
-                    if policy.backoff_s > 0.0:
-                        time.sleep(policy.backoff_s * attempt)
-                    attempt += 1
-                    continue
-                quarantine(_failure_record(
-                    index, config, seed, error, attempt,
-                    time.perf_counter() - start,
-                    multiprocessing.current_process().name,
-                ))
-                break
-            record["attempts"] = attempt
-            checkpoint(record)
-            break
+            slot.close()
 
 
 def _run_batched(
     experiment: CampaignExperiment,
-    pending: list[tuple[int, dict, int, str]],
+    pending: list[tuple[int, dict, int]],
     checkpoint: Callable[[dict], None],
     check_cancel: Callable[[], None] = lambda: None,
-) -> list[tuple[int, dict, int, str]]:
+) -> list[tuple[int, dict, int]]:
     """Run pending samples through the experiment's sample-axis batch hook.
 
     Pending samples are grouped by ``batch_key(config)`` (no key hook →
     one stacked group) and each group runs in-process through
-    ``batch_fn``. Per-sample records are assembled exactly like
-    :func:`_execute_sample`'s (the deterministic fingerprint covers only
-    index/seed/config/result/status, so shared wall-time and timings are
-    invisible to it). A group whose batch call raises — or returns the
-    wrong number of results — falls back to the ordinary fault-tolerant
-    per-sample path: its items are returned as the new pending list.
+    ``batch_fn``. Per-sample records come from the same :func:`_record`
+    as :func:`_execute_sample`'s (the deterministic fingerprint covers
+    only index/seed/config/result/status, so shared wall-time and timings
+    are invisible to it). A group whose batch call raises — or returns
+    the wrong number of results — falls back to the ordinary
+    fault-tolerant per-sample path: its items are returned as the new
+    pending list.
     """
     key_fn = experiment.batch_key
-    groups: dict[object, list[tuple[int, dict, int, str]]] = {}
+    groups: dict[object, list[tuple[int, dict, int]]] = {}
     for item in pending:
         key = key_fn(item[1]) if key_fn is not None else None
         groups.setdefault(key, []).append(item)
-    leftover: list[tuple[int, dict, int, str]] = []
+    leftover: list[tuple[int, dict, int]] = []
     worker = multiprocessing.current_process().name
     for group_key, items in groups.items():
         check_cancel()
@@ -657,8 +645,8 @@ def _run_batched(
         start = time.perf_counter()
         try:
             results = experiment.batch_fn(
-                [dict(config) for _, config, _, _ in items],
-                [seed for _, _, seed, _ in items],
+                [dict(config) for _, config, _ in items],
+                [seed for _, _, seed in items],
                 timer,
             )
             if len(results) != len(items):
@@ -676,27 +664,13 @@ def _run_batched(
             )
             leftover.extend(items)
             continue
-        wall = round((time.perf_counter() - start) / len(items), 6)
+        wall_s = (time.perf_counter() - start) / len(items)
         timings = timer.as_dict()
-        for (index, config, seed, _), result in zip(items, results):
-            oracles = (
-                result.pop("oracles", None) if isinstance(result, dict) else None
-            )
-            record = {
-                "index": index,
-                "seed": seed,
-                "config": config,
-                "result": result,
-                "wall_time_s": wall,
-                "worker": worker,
-                "cached": False,
-                "timings": timings,
-                "status": "ok",
-                "attempts": 1,
-            }
-            if oracles is not None:
-                record["oracles"] = oracles
-            checkpoint(record)
+        for (index, config, seed), result in zip(items, results):
+            checkpoint(_record(
+                index, config, seed, result,
+                wall_s=wall_s, worker=worker, timings=timings,
+            ))
     return leftover
 
 
@@ -718,14 +692,16 @@ def run_campaign(
 
     ``grid`` is a preset name resolved via the experiment's ``grids``
     hook, or an explicit list of config dicts (recorded as ``"custom"``).
-    ``workers=1`` runs inline in this process; ``workers>1`` shards the
-    non-cached points over supervised worker processes. Results are
+    Non-cached points run through one attempt loop: in this process at
+    ``workers=1``, in up to ``workers`` forked child processes otherwise
+    (and always forked when ``policy.timeout_s`` is set). Results are
     identical either way. ``cache_dir=None`` disables the on-disk cache.
 
     Fault tolerance: each finished sample is checkpointed into the cache
     immediately (an interrupted campaign keeps all completed work), and
     ``policy`` (a :class:`FaultPolicy`) bounds each sample with a timeout
-    and bounded retries; samples that still fail land in the manifest as
+    and bounded retries (a retry waits out its backoff while other samples
+    run); samples that still fail land in the manifest as
     ``status: "failed"`` records with a structured ``error`` instead of
     killing their siblings. ``resume=True`` treats cached failed records
     as misses, re-running only failed or missing grid points. A campaign
@@ -763,6 +739,7 @@ def run_campaign(
         experiment = get_experiment(experiment)
     observe = observe or trace_path is not None
     policy = NO_RETRY if policy is None else policy
+    control = CampaignControl() if control is None else control
 
     campaign_payload = None
     sample_obs: dict[int, dict] = {}
@@ -779,7 +756,8 @@ def run_campaign(
 
         cache = ResultCache(cache_dir) if cache_dir is not None else None
         records: dict[int, dict] = {}
-        pending: list[tuple[int, dict, int, str]] = []
+        keys: dict[int, str] = {}
+        pending: list[tuple[int, dict, int]] = []
         with campaign_timer.phase("cache_scan"):
             for index, (config, seed) in enumerate(zip(configs, seeds)):
                 key = sample_key(experiment.name, config, seed, code)
@@ -795,10 +773,10 @@ def run_campaign(
                         hit.pop("metrics", None)
                     records[index] = hit
                 else:
-                    pending.append((index, config, seed, key))
+                    keys[index] = key
+                    pending.append((index, config, seed))
 
-        keys = {index: key for index, _, _, key in pending}
-        if control is not None and control.on_record is not None:
+        if control.on_record is not None:
             # Stream cache hits too (grid order): a resumed job's live
             # tail replays completed samples before fresh ones arrive.
             for index in sorted(records):
@@ -812,43 +790,13 @@ def run_campaign(
             records[record["index"]] = record
             if cache is not None:
                 cache.put(experiment.name, keys[record["index"]], record)
-            if control is not None and control.on_record is not None:
+            if control.on_record is not None:
                 control.on_record(record)
 
         def check_cancel() -> None:
-            if (
-                control is not None
-                and control.should_cancel is not None
-                and control.should_cancel()
-            ):
+            if control.should_cancel is not None and control.should_cancel():
                 raise CampaignCancelled(
                     experiment.name, len(records), len(configs)
-                )
-
-        fresh_failures = 0
-
-        def quarantine(record: dict) -> None:
-            nonlocal fresh_failures
-            fresh_failures += 1
-            error = record.get("error") or {}
-            if obs.OBS.enabled:
-                obs.OBS.metrics.inc(
-                    "campaign_failures_total",
-                    experiment=experiment.name,
-                    kind=error.get("kind", "unknown"),
-                )
-            obs.event(
-                "error", "harness.campaign", "sample_failed",
-                index=record["index"], attempts=record["attempts"],
-                kind=error.get("kind"),
-            )
-            checkpoint(record)
-            if (
-                policy.max_failures is not None
-                and fresh_failures > policy.max_failures
-            ):
-                raise CampaignAborted(
-                    experiment.name, fresh_failures, policy.max_failures
                 )
 
         start = time.perf_counter()
@@ -860,19 +808,13 @@ def run_campaign(
                 and not observe
             ):
                 pending = _run_batched(experiment, pending, checkpoint, check_cancel)
-            supervised = policy.timeout_s is not None or (
-                workers > 1 and len(pending) > 1
-            )
-            if pending and supervised:
-                _run_supervised(
-                    experiment, pending, observe, policy,
-                    min(workers, len(pending)), checkpoint, quarantine,
-                    check_cancel,
+            if pending:
+                fork = policy.timeout_s is not None or (
+                    workers > 1 and len(pending) > 1
                 )
-            elif pending:
-                _run_inline(
-                    experiment, pending, observe, policy, checkpoint, quarantine,
-                    check_cancel,
+                _run_attempts(
+                    experiment, pending, observe, policy,
+                    min(workers, len(pending)), fork, checkpoint, check_cancel,
                 )
         wall_s = time.perf_counter() - start
 

@@ -11,16 +11,21 @@ after the "fix".
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 
+import repro.experiments.campaigns  # noqa: F401  (registers "monte-carlo")
 import repro.harness.chaos  # noqa: F401  (registers "chaos")
 from repro import obs
 from repro.__main__ import main as cli_main
 from repro.harness.cache import ResultCache
 from repro.harness.campaign import (
     CampaignAborted,
+    CampaignCancelled,
+    CampaignControl,
     FaultPolicy,
+    SampleRecord,
     run_campaign,
 )
 
@@ -114,7 +119,8 @@ class TestQuarantine:
 
 
 class TestRetries:
-    def test_flaky_sample_retries_to_success(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_flaky_sample_retries_to_success(self, tmp_path, workers):
         grid = clean_grid(4)
         grid[1] = {
             **grid[1],
@@ -122,7 +128,7 @@ class TestRetries:
         }
         policy = FaultPolicy(max_attempts=3, backoff_s=0.0)
         result = run_campaign(
-            "chaos", grid=grid, root_seed=3, workers=2, policy=policy
+            "chaos", grid=grid, root_seed=3, workers=workers, policy=policy
         )
         assert result.manifest["totals"]["failed"] == 0
         assert result.records[1].status == "ok"
@@ -130,19 +136,20 @@ class TestRetries:
         assert all(r.attempts == 1 for r in result.records if r.index != 1)
         # Retries re-ran with the original seed: the flaked-then-passed
         # campaign fingerprints identically to a clean re-run.
-        rerun = run_campaign("chaos", grid=grid, root_seed=3, workers=2)
+        rerun = run_campaign("chaos", grid=grid, root_seed=3, workers=workers)
         assert rerun.manifest["totals"]["failed"] == 0
         assert rerun.fingerprint == result.fingerprint
         assert rerun.results == result.results
 
-    def test_insufficient_retries_still_quarantine(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_insufficient_retries_still_quarantine(self, tmp_path, workers):
         grid = clean_grid(3)
         grid[0] = {
             **grid[0],
             "fault": {"mode": "flaky", "fails": 5, "dir": str(tmp_path / "m")},
         }
         result = run_campaign(
-            "chaos", grid=grid, root_seed=3,
+            "chaos", grid=grid, root_seed=3, workers=workers,
             policy=FaultPolicy(max_attempts=2),
         )
         assert result.records[0].status == "failed"
@@ -176,6 +183,8 @@ class TestRetries:
             FaultPolicy(timeout_s=0.0)
         with pytest.raises(ValueError):
             FaultPolicy(backoff_s=-1.0)
+        with pytest.raises(ValueError, match="max_failures must be >= 0"):
+            FaultPolicy(max_failures=-1)
 
     @pytest.mark.parametrize("field", ["timeout_s", "backoff_s"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -188,7 +197,7 @@ class TestRetries:
     @pytest.mark.parametrize(
         "flags",
         [["--timeout", "-1"], ["--retries", "-1"], ["--backoff", "nan"],
-         ["--timeout", "inf"]],
+         ["--timeout", "inf"], ["--workers", "0"], ["--max-failures", "-1"]],
     )
     def test_cli_bad_policy_exits_2(self, flags, capsys):
         argv = ["campaign", "chaos", "--no-cache", *flags]
@@ -196,6 +205,50 @@ class TestRetries:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "must be" in err
+
+
+    def test_serial_backoff_still_polls_cancel(self, tmp_path):
+        # A serial retry waits out its backoff inside the attempt loop,
+        # which keeps polling should_cancel instead of sleeping 30 s.
+        grid = clean_grid(3)
+        grid[0] = {
+            **grid[0],
+            "fault": {"mode": "flaky", "fails": 1, "dir": str(tmp_path / "m")},
+        }
+        with obs.isolated(enabled=True) as session:
+            control = CampaignControl(
+                should_cancel=lambda: bool(session.events.by_name("sample_retry"))
+            )
+            start = time.monotonic()
+            with pytest.raises(CampaignCancelled):
+                run_campaign(
+                    "chaos", grid=grid, root_seed=3, workers=1,
+                    policy=FaultPolicy(max_attempts=2, backoff_s=30.0),
+                    control=control,
+                )
+        assert time.monotonic() - start < 5.0
+
+
+class TestRecordLayout:
+    def test_every_record_round_trips_through_sample_record(self, tmp_path):
+        # One record layout: in-process and forked ok records, quarantined
+        # failures of both, and batched records all rebuild exactly.
+        grid, _ = grid_with_fault(tmp_path, {"mode": "crash"}, n=3)
+        manifests = [
+            run_campaign("chaos", grid=grid, root_seed=7, workers=workers).manifest
+            for workers in (1, 2)
+        ]
+        manifests.append(
+            run_campaign("monte-carlo", grid="smoke", root_seed=0, batch=True).manifest
+        )
+        statuses = set()
+        for manifest in manifests:
+            for record in manifest["samples"]:
+                assert SampleRecord.from_dict(record).to_dict() == record
+                statuses.add((record["worker"] == "MainProcess", record["status"]))
+        assert statuses == {
+            (True, "ok"), (True, "failed"), (False, "ok"), (False, "failed"),
+        }
 
 
 class TestCheckpointAndResume:

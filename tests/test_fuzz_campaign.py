@@ -13,13 +13,16 @@ import json
 
 import pytest
 
+import repro.harness.fuzz
+from repro.__main__ import main as cli_main
 from repro.harness.fuzz import run_fuzz, shrink_scenario
 from repro.harness.fuzz.campaign import (
     fuzz_grid,
     fuzz_sample,
     sample_scenario,
+    swarm_scenario,
 )
-from repro.harness.fuzz.generator import ScenarioGenerator
+from repro.harness.fuzz.generator import ScenarioGenerator, scenario_to_json
 from repro.harness.fuzz.shrink import scenario_size
 from repro.harness.manifest import manifest_fingerprint, read_manifest
 from repro.harness.oracles import run_scenario_oracles
@@ -129,6 +132,62 @@ class TestFuzzCampaign:
             # ...and still reproduces the failure standalone.
             replay = run_scenario_oracles(minimized)
             assert "teleport_bound" in replay.violated_oracles
+
+
+class TestFuzzCli:
+    def _argv(self, tmp_path, *flags):
+        return [
+            "campaign", "fuzz", "--profile", "smoke", "--count", "1",
+            "--no-cache", "--artifacts", str(tmp_path / "artifacts"), *flags,
+        ]
+
+    def test_clean_run_exits_0(self, tmp_path, capsys):
+        assert cli_main(self._argv(tmp_path)) == 0
+        out = capsys.readouterr().out
+        assert "campaign fuzz grid=smoke:1" in out
+        assert "0 violating" in out
+
+    def test_violation_exits_1(self, tmp_path, capsys):
+        chaos = json.dumps({"mode": "exception", "at": 1})
+        argv = self._argv(tmp_path, "--chaos", chaos, "--no-shrink")
+        assert cli_main(argv) == 1
+        assert "1 oracle-violating" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--trace", "--metrics", "--batch"])
+    def test_unsupported_flags_exit_2(self, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        flags = [flag] if flag == "--batch" else [flag, str(out)]
+        assert cli_main(self._argv(tmp_path, *flags)) == 2
+        err = capsys.readouterr().err
+        assert f"campaign fuzz does not support {flag}" in err
+        assert not out.exists()
+
+    def test_unshrunk_repro_is_printed_without_shrink_stats(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Swarm violations are saved as generated: the outcome has a
+        # reproducer path but no shrink result for that seed.
+        real_run_fuzz = repro.harness.fuzz.run_fuzz
+
+        def fake_run_fuzz(**kwargs):
+            outcome = real_run_fuzz(**kwargs)
+            outcome.repro_paths[123] = tmp_path / "repro_123.json"
+            return outcome
+
+        monkeypatch.setattr(repro.harness.fuzz, "run_fuzz", fake_run_fuzz)
+        assert cli_main(self._argv(tmp_path)) == 0
+        out = capsys.readouterr().out
+        assert f"repro: {tmp_path / 'repro_123.json'}" in out
+        assert "scenario replay" in out
+
+    def test_swarm_repro_replays_under_the_swarm_oracle(self, tmp_path, capsys):
+        config = {"profile": "smoke", "case": 0, "kind": "swarm"}
+        path = tmp_path / "repro_5.json"
+        path.write_text(scenario_to_json(swarm_scenario(config, 5)))
+        assert cli_main(["scenario", "replay", str(path), "--horizon", "20"]) == 0
+        out = capsys.readouterr().out
+        assert "over 20 s sim time" in out
+        assert "swarm_tasking" in out
 
 
 class TestShrinker:
