@@ -9,12 +9,13 @@ fleet-wide array operations:
 
 * ConSert gate trees are compiled once into boolean-array programs
   (:class:`CompiledConSerts`) and evaluated for all UAVs at once;
-* the SafeDrones battery/processor/propulsion models run as stacked
-  arrays (:class:`BatchSafeDrones`) — one ``scipy.linalg.expm`` call over
-  an ``(n, 4, 4)`` stack instead of ``n`` scalar solves;
+* the SafeDrones models run as one bank (:class:`BatchSafeDrones`) that
+  calls the scalar models' own definitions — one stacked battery-chain
+  ``transient`` solve over all rows instead of ``n`` scalar solves;
 * GPS, IMU and temperature measurements are the fleet engine's own
   batched sensor math (:meth:`~repro.uav.fleet.FleetEngine.gps_fix`,
-  :meth:`~repro.uav.fleet.FleetEngine.imu_measure`);
+  :meth:`~repro.uav.fleet.FleetEngine.imu_measure`,
+  :meth:`~repro.uav.fleet.FleetEngine.temp_measure`);
 * SafeML reports come from each attached monitor's own ``report()``,
   exactly as the scalar adapter asks for them.
 
@@ -27,10 +28,10 @@ where any ULP difference compounds. The rules (same as
 
 * every arithmetic expression mirrors the scalar code's operation order
   exactly;
-* transcendentals the scalar code computes with :mod:`math`
-  (``math.exp`` in the Arrhenius/SoC/processor factors, ``math.dist`` in
-  the spoof detector) stay per-row :mod:`math` calls — ``np.exp`` is NOT
-  bit-identical to ``math.exp``;
+* formulas the scalar code computes with :mod:`math` (the SafeDrones
+  stress factors and hazards, ``math.dist`` in the spoof detector) are
+  called per row, never re-written with NumPy, whose transcendentals are
+  NOT bit-identical to :mod:`math`'s;
 * sensor noise comes from the same per-channel fleet streams
   (``ch_temp``/``ch_gps``/``ch_quality``/``ch_imu``), consumed in the
   same per-row order the scalar adapter consumes them.
@@ -59,11 +60,9 @@ Known, documented deviations (none observable by the equivalence suite):
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import fields as dataclass_fields
 
 import numpy as np
-from scipy.linalg import expm
 
 from repro.core.adapters import build_fleet_eddis
 from repro.core.conserts import AndNode, ConSert, Demand, OrNode, RuntimeEvidence
@@ -76,11 +75,18 @@ from repro.core.decider import (
 from repro.core.eddi import EddiResponse
 from repro.core.uav_network import UavConSertNetwork, UavGuarantee
 from repro.obs import OBS, event
-from repro.safedrones.battery import BOLTZMANN_EV, BatteryReliabilityModel
+from repro.safedrones.battery import BatteryReliabilityModel, cell_fault_shift
 from repro.safedrones.communication import CommLinkMonitor
-from repro.safedrones.markov import MarkovModelError
-from repro.safedrones.monitor import ReliabilityAssessment, ReliabilityLevel
-from repro.safedrones.processor import ProcessorReliabilityModel
+from repro.safedrones.monitor import (
+    JUNCTION_RISE_C,
+    ReliabilityAssessment,
+    ReliabilityLevel,
+    check_telemetry,
+)
+from repro.safedrones.processor import (
+    ProcessorReliabilityModel,
+    hazard_failure_probability,
+)
 from repro.safedrones.propulsion import PropulsionModel
 from repro.safeml.monitor import SafeMlReport
 from repro.security.spoofing import GpsSpoofingDetector
@@ -258,9 +264,10 @@ def compiled_conserts() -> CompiledConSerts:
 class BatchSafeDrones:
     """Fleet-wide :class:`~repro.safedrones.monitor.SafeDronesMonitor`.
 
-    One battery Markov distribution row per UAV, integrated with a single
-    stacked ``expm`` call; Arrhenius/SoC/processor thermal factors stay
-    per-row ``math.exp`` (bit-exactness). Each row owns a
+    One battery distribution row per UAV, advanced by one stacked
+    ``transient`` call on the battery model's own chain. The stress
+    factor, cell-fault shift, processor hazard and processor PoF are the
+    scalar models' own functions, called per row. Each row owns a
     :class:`~repro.safedrones.propulsion.PropulsionModel`, as each scalar
     monitor does; its PoF is read from the chain's start-state memo at
     construction and again only when the row's motor count changes.
@@ -278,20 +285,9 @@ class BatchSafeDrones:
         self.pof_abort_threshold = pof_abort_threshold
         self.mission_horizon_s = mission_horizon_s
         self.soc_collapse_threshold = soc_collapse_threshold
-        battery = BatteryReliabilityModel()
-        self._base_q = battery.chain.q.copy()
-        self._bat_ea_b = battery.activation_energy_ev / BOLTZMANN_EV
-        self._bat_inv_tref = 1.0 / (battery.reference_temp_c + 273.15)
-        self._bat_gamma = battery.soc_stress_gamma
-        self._bat_knee = battery.soc_stress_knee
-        processor = ProcessorReliabilityModel()
-        self._proc_ser = processor.ser_rate_per_hour
-        self._proc_wearout = processor.wearout_rate_per_hour
-        self._proc_ea_b = processor.activation_energy_ev / BOLTZMANN_EV
-        self._proc_inv_tref = 1.0 / (processor.reference_temp_c + 273.15)
-        self._dist = np.zeros((n, 4))
-        if n:
-            self._dist[:, 0] = 1.0
+        self._battery = BatteryReliabilityModel()
+        self._processor = ProcessorReliabilityModel()
+        self._dist = np.tile(self._battery.distribution, (n, 1))
         self._last_time: float | None = None
         self._last_soc: np.ndarray | None = None
         self.battery_fault_detected = np.zeros(n, dtype=bool)
@@ -321,12 +317,9 @@ class BatchSafeDrones:
         optional per-row int sequence (motor-state sync, exactly the
         scalar monitor's ``while ... record_motor_failure()`` loop).
         """
-        n = self.n
-        mexp = math.exp
         soc = np.asarray(soc, dtype=float)
         temp_c = np.asarray(temp_c, dtype=float)
-        soc_l = soc.tolist()
-        temp_l = temp_c.tolist()
+        check_telemetry(soc, temp_c)
 
         if motors_failed is not None:
             prop = self._prop_pof
@@ -336,82 +329,38 @@ class BatchSafeDrones:
                     model.motors_failed = m
                     prop[k] = model.failure_probability(self.mission_horizon_s)
 
-        if self._last_soc is not None and n:
-            last_l = self._last_soc.tolist()
-            threshold = self.soc_collapse_threshold
-            fault = self.battery_fault_detected
-            dist = self._dist
-            for k in range(n):
-                if not fault[k] and last_l[k] - soc_l[k] >= threshold:
-                    fault[k] = True
-                    # register_cell_fault: shift surviving mass one stage.
-                    p0 = float(dist[k, 0])
-                    p1 = float(dist[k, 1])
-                    tail = float(dist[k, 2]) + float(dist[k, 3])
-                    dist[k, 0] = 0.0
-                    dist[k, 1] = p0
-                    dist[k, 2] = p1
-                    dist[k, 3] = tail
+        if self._last_soc is not None:
+            # Sharp SoC collapse between consecutive samples: diagnosed
+            # cell-group fault, as in the scalar monitor.
+            collapsed = ~self.battery_fault_detected & (
+                self._last_soc - soc >= self.soc_collapse_threshold
+            )
+            if collapsed.any():
+                self.battery_fault_detected |= collapsed
+                self._dist[collapsed] = cell_fault_shift(self._dist[collapsed])
         self._last_soc = soc.copy()
 
-        first = self._last_time is None
-        if first:
-            self._last_time = now
-            dt = 0.0
-        else:
-            dt = now - self._last_time
-            if dt < 0.0:
-                raise ValueError("time went backwards")
-            self._last_time = now
+        dt = 0.0 if self._last_time is None else now - self._last_time
+        if dt < 0.0:
+            raise ValueError("time went backwards")
+        self._last_time = now
+        if dt != 0.0 and self.n:
+            battery = self._battery
+            temp_l = temp_c.tolist()
+            factors = [
+                battery.stress_factor(s, t) for s, t in zip(soc.tolist(), temp_l)
+            ]
+            self._dist = battery.chain.transient(self._dist, dt, factors)
+            rate = self._processor.hazard_rate_per_s
+            self._hazard = [
+                h + rate(t + JUNCTION_RISE_C) * dt
+                for h, t in zip(self._hazard, temp_l)
+            ]
 
-        if not first and dt != 0.0 and n:
-            dist = self._dist
-            sums = np.sum(dist, axis=1)
-            if not np.isclose(sums, 1.0, atol=1e-9).all():
-                raise MarkovModelError("p0 must sum to 1")
-            ea_b = self._bat_ea_b
-            inv_tref = self._bat_inv_tref
-            gamma = self._bat_gamma
-            knee = self._bat_knee
-            facts = [0.0] * n
-            for k in range(n):
-                t = max(temp_l[k], -200.0) + 273.15
-                arrhenius = mexp(ea_b * (inv_tref - 1.0 / t))
-                s = min(max(soc_l[k], 0.0), 1.0)
-                socf = 1.0 if s >= knee else mexp(gamma * (knee - s))
-                facts[k] = arrhenius * socf
-            factors = np.array(facts, dtype=float)
-            generators = (self._base_q[None, :, :] * factors[:, None, None]) * dt
-            transitions = expm(generators)
-            pts = np.empty_like(dist)
-            for k in range(n):
-                pts[k] = dist[k] @ transitions[k]
-            pts = np.clip(pts, 0.0, None)
-            totals = np.sum(pts, axis=1)
-            bad = ~((totals >= 0.97) & (totals <= 1.03))
-            if bad.any():
-                k = int(np.flatnonzero(bad)[0])
-                raise MarkovModelError(
-                    f"transient solve lost normalisation (sum={float(totals[k]):.6f})"
-                )
-            self._dist = pts / totals[:, None]
-
-            ser = self._proc_ser
-            wearout_rate = self._proc_wearout
-            p_ea_b = self._proc_ea_b
-            p_inv_tref = self._proc_inv_tref
-            hazard = self._hazard
-            for k in range(n):
-                t = (temp_l[k] + 15.0) + 273.15
-                wearout = wearout_rate * mexp(p_ea_b * (p_inv_tref - 1.0 / t))
-                hazard[k] = hazard[k] + ((ser + wearout) / 3600.0) * dt
-
-        battery_pof = self._dist[:, 3].copy()
-        hazard = self._hazard
-        proc = [0.0] * n
-        for k in range(n):
-            proc[k] = 1.0 - mexp(-hazard[k])
-        proc_pof = np.array(proc, dtype=float)
+        battery_pof = self._dist[:, self._battery.chain.index("failed")].copy()
+        proc_pof = np.array(
+            [hazard_failure_probability(h) for h in self._hazard], dtype=float
+        )
         prop_pof = np.array(self._prop_pof, dtype=float)
 
         # Fault-tree CBE range checks, in scalar evaluation order; the
@@ -661,7 +610,6 @@ class BatchAssurancePlane:
         valid_rows: list[int] = []
         imu_rows: list[int] = []
         soc_l = [0.0] * n
-        temp_true = [0.0] * n
         motors = [0] * n
         cam_ok = np.zeros(n, dtype=bool)
         for k in range(n):
@@ -676,9 +624,7 @@ class BatchAssurancePlane:
             if std != noise_cache[k]:
                 noise_cache[k] = std
                 self._noise[k] = std
-            battery = uav.battery
-            soc_l[k] = battery.soc
-            temp_true[k] = battery.temp_c
+            soc_l[k] = uav.battery.soc
             motors[k] = uav.motors_failed
             cam_ok[k] = cams[k].operational
             if not (gps.denied or not gps.healthy):
@@ -687,10 +633,9 @@ class BatchAssurancePlane:
                     imu_rows.append(k)
 
         # --- SafeDrones -> reliability evidence ---------------------------
-        zt = fleet.ch_temp.take_all()[:, 0]
-        temp_meas = np.array(temp_true, dtype=float) + fleet.temp_std * zt
         self.safedrones.update(
-            now, np.array(soc_l, dtype=float), temp_meas, motors
+            now, np.array(soc_l, dtype=float), fleet.temp_measure(slice(0, n)),
+            motors,
         )
         evidence["reliability_high"][:] = self.safedrones.rel_high
         evidence["reliability_medium"][:] = self.safedrones.rel_medium

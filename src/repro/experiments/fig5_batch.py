@@ -98,16 +98,13 @@ def _run_policy_stacked(
         [uav.spec.rotor_count for uav in uavs],
         pof_abort_threshold=fig5.POF_THRESHOLD,
     )
-    temp_std = fleet.temp_std[:n]
     states = [fig5.ScenarioTrace() for _ in range(n)]
     active = list(range(n))
     while active and world.time < fig5.POLICY_HORIZON_S:
         world.step()
         now = world.time
         soc = arrays.soc[:n].copy()
-        zt = fleet.ch_temp.take_all()[:n, 0]
-        temp = arrays.temp_c[:n] + temp_std * zt
-        pof = monitors.update(now, soc, temp).tolist()
+        pof = monitors.update(now, soc, fleet.temp_measure(slice(0, n))).tolist()
         fault_detected = monitors.battery_fault_detected
         abort_recommended = monitors.abort_recommended
         active = [

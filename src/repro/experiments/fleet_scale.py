@@ -20,7 +20,6 @@ workers and cache on disk like every other sweep. A direct entry point
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from repro.experiments.common import build_three_uav_world
@@ -82,16 +81,21 @@ def run_fleet_scale_point(
     engine: str = "vectorized",
     max_time_s: float = 3600.0,
     n_persons: int = 8,
+    timer: PhaseTimer | None = None,
 ) -> FleetScalePoint:
-    """Fly one coverage mission with ``n_uavs`` UAVs and measure it."""
+    """Fly one coverage mission with ``n_uavs`` UAVs and measure it.
+
+    The flight runs in ``timer``'s ``simulate`` phase; ``wall_s`` is that
+    phase's total.
+    """
+    timer = PhaseTimer() if timer is None else timer
     scenario = build_three_uav_world(
         seed=seed, n_persons=n_persons, n_uavs=n_uavs, engine=engine
     )
     mission = SarMission(world=scenario.world)
     mission.assign_paths()
-    start = time.perf_counter()
-    metrics = mission.run(max_time_s=max_time_s)
-    wall = time.perf_counter() - start
+    with timer.phase("simulate"):
+        metrics = mission.run(max_time_s=max_time_s)
     return FleetScalePoint(
         n_uavs=n_uavs,
         engine=engine,
@@ -101,7 +105,7 @@ def run_fleet_scale_point(
         sim_time_s=scenario.world.time,
         persons_found=metrics.persons_found,
         persons_total=metrics.persons_total,
-        wall_s=wall,
+        wall_s=timer.phases["simulate"]["total_s"],
     )
 
 
@@ -112,6 +116,7 @@ def run_assurance_scale_point(
     max_time_s: float = 60.0,
     eddi_period_s: float = 2.0,
     n_persons: int = 8,
+    timer: PhaseTimer | None = None,
 ) -> dict:
     """Fly a coverage mission with the assurance plane cycling alongside.
 
@@ -119,11 +124,14 @@ def run_assurance_scale_point(
     additionally runs the full assurance plane (:func:`build_assurance`:
     SafeDrones, spoof/link monitors, ConSert evaluation, mission
     decider) at the 2 Hz EDDI rate, so a campaign over it exercises the
-    batched plane end to end at fleet scale and records its per-cycle
-    cost in the manifest.
+    batched plane end to end at fleet scale. The returned facts are
+    deterministic; wall times go to ``timer``: ``simulate`` spans the
+    whole flight and ``assurance`` each plane cycle within it, so its
+    ``total_s / calls`` is the per-cycle cost.
     """
     from repro.core.batch import build_assurance
 
+    timer = PhaseTimer() if timer is None else timer
     scenario = build_three_uav_world(
         seed=seed, n_persons=n_persons, n_uavs=n_uavs, engine=engine
     )
@@ -133,18 +141,15 @@ def run_assurance_scale_point(
     plane = build_assurance(world)
     cycle_every = max(1, int(round(eddi_period_s / world.dt)))
     verdicts: list[str] = []
-    assurance_wall = 0.0
     steps = 0
-    start = time.perf_counter()
-    while not mission.mission_complete and world.time < max_time_s:
-        mission.step()
-        steps += 1
-        if steps % cycle_every == 0:
-            cycle_start = time.perf_counter()
-            plane.step(world.time)
-            verdicts.append(plane.decide().verdict.name)
-            assurance_wall += time.perf_counter() - cycle_start
-    wall = time.perf_counter() - start
+    with timer.phase("simulate"):
+        while not mission.mission_complete and world.time < max_time_s:
+            mission.step()
+            steps += 1
+            if steps % cycle_every == 0:
+                with timer.phase("assurance"):
+                    plane.step(world.time)
+                    verdicts.append(plane.decide().verdict.name)
     metrics = mission.metrics
     transitions = sum(
         len(plane.response_log(uav_id)) for uav_id in plane.uav_ids
@@ -158,12 +163,8 @@ def run_assurance_scale_point(
         "sim_time_s": world.time,
         "persons_found": metrics.persons_found,
         "persons_total": metrics.persons_total,
-        "wall_s": wall,
         "assurance_engine": plane.engine,
         "assurance_cycles": len(verdicts),
-        "assurance_cycle_ms": round(
-            1e3 * assurance_wall / max(1, len(verdicts)), 3
-        ),
         "final_verdict": verdicts[-1] if verdicts else None,
         "guarantee_transitions": transitions,
     }
@@ -176,26 +177,26 @@ def fleet_scale_sample(config: dict, seed: int, timer: PhaseTimer) -> dict:
     size over the same person field so the fleet-size axis is the only
     thing that varies); otherwise the harness-assigned stream seed is
     used. With ``assurance: true`` the sample also cycles the full
-    assurance plane (scalar or batched, following ``engine``) and
-    reports its cost alongside the coverage numbers.
+    assurance plane (scalar or batched, following ``engine``). The result
+    holds only deterministic facts, so the manifest fingerprint does not
+    depend on timing; wall times live in the record's ``timings``.
     """
     run_seed = int(config.get("seed", seed))
+    common = dict(
+        n_uavs=int(config["n_uavs"]),
+        seed=run_seed,
+        engine=str(config.get("engine", "vectorized")),
+        timer=timer,
+    )
     if config.get("assurance"):
-        with timer.phase("simulate"):
-            return run_assurance_scale_point(
-                n_uavs=int(config["n_uavs"]),
-                seed=run_seed,
-                engine=str(config.get("engine", "vectorized")),
-                max_time_s=float(config.get("max_time_s", 60.0)),
-                eddi_period_s=float(config.get("eddi_period_s", 2.0)),
-            )
-    with timer.phase("simulate"):
-        point = run_fleet_scale_point(
-            n_uavs=int(config["n_uavs"]),
-            seed=run_seed,
-            engine=str(config.get("engine", "vectorized")),
-            max_time_s=float(config.get("max_time_s", 3600.0)),
+        return run_assurance_scale_point(
+            max_time_s=float(config.get("max_time_s", 60.0)),
+            eddi_period_s=float(config.get("eddi_period_s", 2.0)),
+            **common,
         )
+    point = run_fleet_scale_point(
+        max_time_s=float(config.get("max_time_s", 3600.0)), **common
+    )
     return {
         "seed": run_seed,
         "n_uavs": point.n_uavs,
@@ -205,7 +206,6 @@ def fleet_scale_sample(config: dict, seed: int, timer: PhaseTimer) -> dict:
         "sim_time_s": point.sim_time_s,
         "persons_found": point.persons_found,
         "persons_total": point.persons_total,
-        "wall_s": point.wall_s,
     }
 
 
@@ -240,21 +240,24 @@ def fleet_scale_grid(preset: str) -> list[dict]:
 
 
 def result_from_campaign(campaign: CampaignResult) -> FleetScaleResult:
-    """Reassemble the sweep result object from campaign sample records."""
+    """Reassemble the sweep result object from campaign sample records.
+
+    Each point's ``wall_s`` is its record's ``simulate`` phase time.
+    """
     return FleetScaleResult(
         points=tuple(
             FleetScalePoint(
-                n_uavs=r["n_uavs"],
-                engine=r["engine"],
-                seed=r["seed"],
-                coverage_fraction=r["coverage_fraction"],
-                duration_s=r["duration_s"],
-                sim_time_s=r["sim_time_s"],
-                persons_found=r["persons_found"],
-                persons_total=r["persons_total"],
-                wall_s=r["wall_s"],
+                n_uavs=r.result["n_uavs"],
+                engine=r.result["engine"],
+                seed=r.result["seed"],
+                coverage_fraction=r.result["coverage_fraction"],
+                duration_s=r.result["duration_s"],
+                sim_time_s=r.result["sim_time_s"],
+                persons_found=r.result["persons_found"],
+                persons_total=r.result["persons_total"],
+                wall_s=r.timings["simulate"]["total_s"],
             )
-            for r in campaign.results
+            for r in campaign.records
         )
     )
 

@@ -29,6 +29,13 @@ BOLTZMANN_EV = 8.617333e-5
 STATES = ["healthy", "degraded", "critical", "failed"]
 
 
+def arrhenius(activation_energy_ev: float, reference_temp_c: float, temp_c: float) -> float:
+    """Arrhenius rate acceleration at ``temp_c`` relative to ``reference_temp_c``."""
+    t_ref = reference_temp_c + 273.15
+    t = temp_c + 273.15
+    return math.exp((activation_energy_ev / BOLTZMANN_EV) * (1.0 / t_ref - 1.0 / t))
+
+
 def battery_chain(base_rate_per_s: float) -> ContinuousMarkovChain:
     """Degradation chain with uniform stage rate ``base_rate_per_s``."""
     lam = base_rate_per_s
@@ -41,6 +48,14 @@ def battery_chain(base_rate_per_s: float) -> ContinuousMarkovChain:
         ]
     )
     return ContinuousMarkovChain(states=list(STATES), q=q, absorbing=frozenset({"failed"}))
+
+
+def cell_fault_shift(dist: np.ndarray) -> np.ndarray:
+    """Surviving mass one stage forward (a diagnosed cell fault), per row."""
+    out = np.zeros_like(dist)
+    out[..., 1:3] = dist[..., 0:2]
+    out[..., 3] = dist[..., 2] + dist[..., 3]
+    return out
 
 
 @dataclass
@@ -69,10 +84,9 @@ class BatteryReliabilityModel:
     # ------------------------------------------------------------- stress
     def arrhenius_factor(self, temp_c: float) -> float:
         """Thermal acceleration relative to the reference temperature."""
-        t_ref = self.reference_temp_c + 273.15
-        t = max(temp_c, -200.0) + 273.15
-        exponent = (self.activation_energy_ev / BOLTZMANN_EV) * (1.0 / t_ref - 1.0 / t)
-        return math.exp(exponent)
+        return arrhenius(
+            self.activation_energy_ev, self.reference_temp_c, max(temp_c, -200.0)
+        )
 
     def soc_factor(self, soc: float) -> float:
         """Deep-discharge stress: grows below the ``soc_stress_knee``."""
@@ -108,10 +122,7 @@ class BatteryReliabilityModel:
 
     def register_cell_fault(self) -> None:
         """Shift surviving mass one stage forward after a diagnosed cell fault."""
-        p = self.distribution
-        self.distribution = np.array(
-            [0.0, p[0], p[1], p[2] + p[3]], dtype=float
-        )
+        self.distribution = cell_fault_shift(self.distribution)
 
     @property
     def failure_probability(self) -> float:

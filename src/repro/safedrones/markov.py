@@ -9,6 +9,7 @@ failure probability, and mean time to failure via the fundamental matrix.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +23,17 @@ class MarkovModelError(ValueError):
     """Raised when a chain definition is structurally invalid."""
 
 
-def _check_factor(factor: float) -> None:
-    if not 0.0 <= factor < math.inf:
+def _all_within(x, lo: float, hi: float) -> bool:
+    """Whether every entry of NumPy ``x`` lies in [lo, hi]; NaN never does.
+    A scalar is compared as a Python float, with no array reduction."""
+    if x.ndim == 0:
+        return lo <= float(x) <= hi
+    return bool(((lo <= x) & (x <= hi)).all())
+
+
+def _check_factor(factor: np.ndarray) -> None:
+    """Refuse a negative, NaN or infinite rate factor (scalar or per row)."""
+    if not _all_within(factor, 0.0, sys.float_info.max):
         raise MarkovModelError("rate factor must be finite and non-negative")
 
 
@@ -44,6 +54,7 @@ class ContinuousMarkovChain:
     q: np.ndarray
     absorbing: frozenset[str] = field(default_factory=frozenset)
     _off: np.ndarray = field(init=False, repr=False, compare=False)
+    _diag: np.ndarray = field(init=False, repr=False, compare=False)
     _pof_memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -72,42 +83,47 @@ class ContinuousMarkovChain:
         off.flags.writeable = False
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "_off", off)
+        object.__setattr__(self, "_diag", np.arange(n))
         object.__setattr__(self, "_pof_memo", {})
 
     def index(self, state: str) -> int:
         """Index of a state name."""
         return self.states.index(state)
 
-    def transient(self, p0: np.ndarray, t: float, factor: float = 1.0) -> np.ndarray:
+    def transient(self, p0: np.ndarray, t: float, factor=1.0) -> np.ndarray:
         """State distribution after ``t`` seconds from ``p0``, every rate times ``factor``.
 
-        Bit-identical to ``scaled(factor).transient(p0, t)``: the scaled
-        generator's diagonal is rebuilt exactly as ``__post_init__`` does,
-        without constructing and re-validating a chain.
+        ``p0`` is one distribution (k,) or a stack of rows (n, k) with one
+        ``factor`` per row. Each row is bit-identical to
+        ``scaled(factor[i]).transient(p0[i], t)``: the scaled diagonal is
+        rebuilt as ``__post_init__`` does, without building a chain. One
+        row is a plain 2-D ``expm``; a stack is one stacked ``expm``.
         """
         p0 = np.asarray(p0, dtype=float)
-        if p0.shape != (len(self.states),):
+        k = len(self.states)
+        if p0.shape[-1:] != (k,):
             raise MarkovModelError("p0 has wrong length")
         # The positive form is False for NaN, so NaN mass is refused.
-        if not abs(p0.sum() - 1.0) <= _P0_SUM_TOL:
+        if not _all_within(p0.sum(axis=-1) - 1.0, -_P0_SUM_TOL, _P0_SUM_TOL):
             raise MarkovModelError("p0 must sum to 1")
         if not 0.0 <= t < math.inf:
             raise MarkovModelError("t must be finite and non-negative")
+        factor = np.asarray(factor, dtype=float)
+        if factor.shape != p0.shape[:-1]:
+            raise MarkovModelError("factor must hold one entry per p0 row")
         _check_factor(factor)
-        q = self._off * factor
-        np.fill_diagonal(q, -q.sum(axis=1))
-        pt = p0 @ expm(q * t)
+        q = self._off * factor[..., None, None]
+        q[..., self._diag, self._diag] = -q.sum(axis=-1)
+        pt = (p0[..., None, :] @ expm(q * t))[..., 0, :]
         # expm loses precision on nearly-defective generators (two stage
         # rates almost equal -> near-Jordan structure). The result must
         # still be a distribution: clip tiny negatives and renormalise,
         # refusing only genuinely broken results.
         pt = np.maximum(pt, 0.0)
-        total = pt.sum()
-        if not 0.97 <= total <= 1.03:
-            raise MarkovModelError(
-                f"transient solve lost normalisation (sum={total:.6f})"
-            )
-        return pt / total
+        total = pt.sum(axis=-1)
+        if not _all_within(total, 0.97, 1.03):
+            raise MarkovModelError(f"transient solve lost normalisation (sum={total})")
+        return pt / total[..., None]
 
     def transient_from(self, state: str, t: float) -> np.ndarray:
         """State distribution after ``t`` seconds starting surely in ``state``."""
@@ -161,7 +177,7 @@ class ContinuousMarkovChain:
         degradation rates by an Arrhenius factor. To integrate under a
         factor without building a chain, pass it to :meth:`transient`.
         """
-        _check_factor(factor)
+        _check_factor(np.asarray(factor, dtype=float))
         return ContinuousMarkovChain(
             states=list(self.states), q=self.q * factor, absorbing=self.absorbing
         )

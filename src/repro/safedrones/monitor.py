@@ -10,12 +10,30 @@ collapse) that the Fig. 5 scenario injects.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.safedrones.battery import BatteryReliabilityModel
 from repro.safedrones.fta import ComplexBasicEvent, FaultTree, OrGate
 from repro.safedrones.processor import ProcessorReliabilityModel
 from repro.safedrones.propulsion import PropulsionModel
+
+
+#: Companion-computer junction temperature rise over the battery bay.
+JUNCTION_RISE_C = 15.0
+
+
+def check_telemetry(soc, temp_c) -> None:
+    """Refuse a non-finite SoC or temperature (floats or per-row arrays),
+    so NaN or inf never becomes a plausible PoF."""
+    if isinstance(soc, float):
+        finite = math.isfinite(soc) and math.isfinite(temp_c)
+    else:
+        finite = np.isfinite(soc).all() and np.isfinite(temp_c).all()
+    if not finite:
+        raise ValueError(f"non-finite telemetry: soc={soc!r}, temp_c={temp_c!r}")
 
 
 class ReliabilityLevel(enum.Enum):
@@ -102,6 +120,7 @@ class SafeDronesMonitor:
         ``motors_failed`` (when reported) syncs the propulsion Markov
         model with the flight controller's observed motor state.
         """
+        check_telemetry(soc, battery_temp_c)
         if motors_failed is not None:
             while self.propulsion.motors_failed < motors_failed:
                 self.propulsion.record_motor_failure()
@@ -118,7 +137,7 @@ class SafeDronesMonitor:
 
         battery_pof = self.battery.update(now, soc, battery_temp_c)
         # Junction temperature tracks battery bay temperature plus load rise.
-        processor_pof = self.processor.update(now, battery_temp_c + 15.0)
+        processor_pof = self.processor.update(now, battery_temp_c + JUNCTION_RISE_C)
         propulsion_pof = self.propulsion.failure_probability(self.mission_horizon_s)
         self._propulsion_snapshot = propulsion_pof
 

@@ -13,7 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.safedrones.battery import BOLTZMANN_EV
+from repro.safedrones.battery import arrhenius
+
+
+def hazard_failure_probability(accumulated_hazard: float) -> float:
+    """PoF of an exponential lifetime after ``accumulated_hazard``."""
+    return 1.0 - math.exp(-accumulated_hazard)
 
 
 @dataclass
@@ -34,11 +39,7 @@ class ProcessorReliabilityModel:
 
     def thermal_factor(self, junction_temp_c: float) -> float:
         """Arrhenius acceleration of the wear-out rate."""
-        t_ref = self.reference_temp_c + 273.15
-        t = junction_temp_c + 273.15
-        return math.exp(
-            (self.activation_energy_ev / BOLTZMANN_EV) * (1.0 / t_ref - 1.0 / t)
-        )
+        return arrhenius(self.activation_energy_ev, self.reference_temp_c, junction_temp_c)
 
     def hazard_rate_per_s(self, junction_temp_c: float) -> float:
         """Total instantaneous failure rate at the given junction temp."""
@@ -60,7 +61,7 @@ class ProcessorReliabilityModel:
     @property
     def failure_probability(self) -> float:
         """PoF under the accumulated (non-homogeneous) exponential hazard."""
-        return 1.0 - math.exp(-self.accumulated_hazard)
+        return hazard_failure_probability(self.accumulated_hazard)
 
     @property
     def reliability(self) -> float:

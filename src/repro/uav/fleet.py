@@ -605,6 +605,11 @@ class FleetEngine:
             rows, None
         ] * z
 
+    def temp_measure(self, rows: slice | np.ndarray) -> np.ndarray:
+        """Batched ``TemperatureSensor.measure`` of the battery temperature."""
+        z = self.ch_temp.take(rows)[:, 0]
+        return self.arrays.temp_c[rows] + self.temp_std[rows] * z
+
     # ----------------------------------------------------------------- step
     def step(
         self,
@@ -974,9 +979,8 @@ class FleetEngine:
             iv = self.imu_measure(row_index(imu_rows, n))
             iv_tuples = list(map(tuple, iv.tolist()))
         ta = row_index(tel_rows, n)
-        zt = self.ch_temp.take(ta)[:, 0]
+        bt_l = self.temp_measure(ta).tolist()
         zw = self.ch_wind.take(ta)[:, 0]
-        bt_l = (arrays.temp_c[ta] + self.temp_std[ta] * zt).tolist()
         wv_l = np.maximum(0.0, wind_mps + self.wind_std[ta] * zw).tolist()
         soc_l = arrays.soc[:n].tolist()
         # Per-row instances are built by assigning the instance dict

@@ -198,6 +198,92 @@ def test_rows_sharing_a_chain_keep_their_own_motor_state():
     assert batched.propulsion_pof[2] == 1.0
 
 
+def test_mixed_bank_matches_per_row_scalar_monitors():
+    """A multi-row bank equals one scalar monitor per row, field for field.
+
+    Covers what the smooth-telemetry tests above never reach: mixed rotor
+    counts, SoC collapses of 0.15 or more on different rows at different
+    steps (and a second collapse on an already-faulted row), SoC below
+    the 0.5 stress knee, temperatures from 20 to 90 C, repeated
+    timestamps (dt == 0) and reported motor failures.
+    """
+    rotors = [4, 6, 8, 6, 4, 8]
+    n = len(rotors)
+    # step -> [(row, SoC drop)]
+    collapses = {
+        6: [(0, 0.25)],
+        14: [(2, 0.15), (4, 0.25)],
+        20: [(0, 0.20)],  # row 0 already faulted: no second shift
+        23: [(1, 0.30)],
+        40: [(5, 0.45), (3, 0.16)],
+    }
+    # step -> per-row reported motor failures
+    motor_schedule = {9: [0, 1, 0, 0, 0, 0], 19: [1, 1, 2, 0, 0, 1],
+                      35: [1, 2, 3, 1, 0, 1]}
+    rng = np.random.default_rng(11)
+    batched = BatchSafeDrones(n, rotors, pof_abort_threshold=0.8)
+    scalars = [
+        SafeDronesMonitor(uav_id=f"u{k}", rotor_count=r, pof_abort_threshold=0.8)
+        for k, r in enumerate(rotors)
+    ]
+    soc = rng.uniform(0.6, 0.95, n)
+    temp = np.linspace(20.0, 90.0, n)
+    motors = [0] * n
+    now = 0.0
+    for step in range(60):
+        if step % 7 != 3:  # every seventh step repeats the timestamp
+            now += float(rng.uniform(0.5, 6.0))
+        last = soc
+        soc = np.maximum(0.02, soc - rng.uniform(0.0, 0.01, n))
+        for row, drop in collapses.get(step, ()):
+            soc[row] = max(0.02, soc[row] - drop)
+            assert last[row] - soc[row] >= 0.15  # a real collapse
+        temp = np.clip(temp + rng.uniform(-3.0, 3.0, n), 20.0, 90.0)
+        motors = motor_schedule.get(step, motors)
+        batched.update(now, soc, temp, motors)
+        for k, scalar in enumerate(scalars):
+            reference = scalar.update(
+                now, float(soc[k]), float(temp[k]), motors_failed=motors[k]
+            )
+            assert batched.assessment(k) == reference, (step, k)
+    # The run must reach the regimes it claims to cover.
+    assert batched.battery_fault_detected.all()
+    assert (soc < 0.5).sum() >= 3
+    assert batched.abort_recommended.any()
+    assert not batched.abort_recommended.all()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["soc", "temp"])
+@pytest.mark.parametrize("engine", ["scalar", "bank"])
+def test_non_finite_telemetry_is_refused(bad, field, engine):
+    """NaN or inf SoC/temperature raises on the first sample, at dt == 0
+    and on a normal step, and never yields a PoF. The bank holds the bad
+    value in row 1 of 3."""
+
+    def make():
+        if engine == "scalar":
+            monitor = SafeDronesMonitor(uav_id="nf")
+            return lambda now, soc, temp: monitor.update(now, soc, temp)
+        bank = BatchSafeDrones(3, [4, 6, 8])
+        return lambda now, soc, temp: bank.update(
+            now, np.array([0.8, soc, 0.7]), np.array([30.0, temp, 40.0])
+        )
+
+    def sample(value):
+        return (value, 30.0) if field == "soc" else (0.8, value)
+
+    update = make()
+    with pytest.raises(ValueError):  # first sample
+        update(0.0, *sample(bad))
+    update = make()
+    update(0.0, *sample(0.8 if field == "soc" else 30.0))
+    with pytest.raises(ValueError):  # dt == 0
+        update(0.0, *sample(bad))
+    with pytest.raises(ValueError):  # normal step
+        update(1.0, *sample(bad))
+
+
 def test_reliability_rank_covers_vocabulary():
     assert [RELIABILITY_RANK[level] for level in ReliabilityLevel] == [0, 1, 2]
 

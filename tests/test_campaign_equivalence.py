@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 import repro.harness.synthetic  # noqa: F401  (registers "synthetic")
+from repro.experiments.fleet_scale import FLEET_SCALE_CAMPAIGN, summarize_fleet_scale
 from repro.experiments.monte_carlo import MONTE_CARLO_CAMPAIGN, result_from_campaign
 from repro.harness.campaign import run_campaign
 from repro.harness.manifest import deterministic_view
@@ -72,3 +73,24 @@ class TestMonteCarloEquivalence:
             run_monte_carlo_fig5(workers=1, **kwargs).samples
             == run_monte_carlo_fig5(workers=2, **kwargs).samples
         )
+
+
+class TestFleetScaleEquivalence:
+    """Wall times stay out of the hashed results, so the 50-UAV
+    assurance-smoke grid gives one fingerprint serially and on a pool."""
+
+    def test_assurance_smoke_workers_1_and_2_agree(self):
+        serial = run_campaign(
+            FLEET_SCALE_CAMPAIGN, grid="assurance-smoke", root_seed=0, workers=1
+        )
+        parallel = run_campaign(
+            FLEET_SCALE_CAMPAIGN, grid="assurance-smoke", root_seed=0, workers=2
+        )
+        assert serial.fingerprint == parallel.fingerprint
+        assert serial.results == parallel.results
+        for record in serial.records:
+            assert record.timings["assurance"]["calls"] == (
+                record.result["assurance_cycles"]
+            )
+            assert record.timings["simulate"]["total_s"] > 0.0
+        assert "50" in summarize_fleet_scale(serial)

@@ -179,6 +179,69 @@ class TestFactorTransient:
         assert all(x == y for x, y in zip(fast.tolist(), slow.tolist()))
 
 
+@st.composite
+def chain_and_stack(draw):
+    """A chain with a stack of 1-19 (p0, factor) rows."""
+    chain = CHAINS[draw(st.sampled_from(sorted(CHAINS)))]
+    k = len(chain.states)
+    n = draw(st.integers(min_value=1, max_value=19))
+    weights = draw(
+        st.lists(
+            st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=k, max_size=k)
+            .filter(lambda w: sum(w) > 1e-3),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    p0 = np.array([np.array(w) / sum(w) for w in weights])
+    factors = np.array(
+        draw(st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=n, max_size=n))
+    )
+    return chain, p0, factors
+
+
+class TestStackedTransient:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        stack=chain_and_stack(),
+        t=st.floats(min_value=0.0, max_value=1e3),
+    )
+    @example(
+        stack=(CHAINS["battery"], np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([1.0])),
+        t=5.0,
+    )
+    def test_rows_bit_identical_to_single_solves(self, stack, t):
+        chain, p0, factors = stack
+        stacked = chain.transient(p0, t, factors)
+        assert stacked.shape == p0.shape
+        for row, factor, out in zip(p0, factors, stacked):
+            single = chain.transient(row, t, float(factor))
+            assert all(x == y for x, y in zip(out.tolist(), single.tolist()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        stack=chain_and_stack(),
+        bad=st.sampled_from(["nan_p0", "nan_factor", "inf_factor"]),
+        data=st.data(),
+    )
+    def test_bad_row_raises(self, stack, bad, data):
+        chain, p0, factors = stack
+        k = data.draw(st.integers(min_value=0, max_value=len(p0) - 1))
+        if bad == "nan_p0":
+            p0[k, 0] = np.nan
+        else:
+            factors[k] = np.nan if bad == "nan_factor" else np.inf
+        with pytest.raises(MarkovModelError):
+            chain.transient(p0, 1.0, factors)
+
+    def test_factor_shape_must_match_rows(self):
+        p0 = np.array([[1.0, 0.0], [0.5, 0.5]])
+        with pytest.raises(MarkovModelError):
+            two_state().transient(p0, 1.0, 2.0)
+        with pytest.raises(MarkovModelError):
+            two_state().transient(p0, 1.0, np.ones(3))
+
+
 class TestValidateOnce:
     def test_q_is_read_only(self):
         chain = two_state()
